@@ -1015,7 +1015,6 @@ let cluster_section () =
     let module S = Hlp_server.Server in
     let module C = Hlp_server.Client in
     let module Head = Hlp_cluster.Head in
-    let module Fwd = Hlp_cluster.Forwarder in
     section "Cluster scaling (consistent-hash head over a worker fleet)";
     let sock_n = ref 0 in
     let fresh tag =
@@ -1054,7 +1053,7 @@ let cluster_section () =
           Head.socket_path = head_socket;
           backends =
             List.map
-              (fun (name, sock, _, _) -> (name, Fwd.Unix_path sock))
+              (fun (name, sock, _, _) -> (name, C.Addr.Unix_path sock))
               workers;
           fail_threshold = 1;
           retry_attempts = 4;
@@ -1684,8 +1683,7 @@ let chaos_loadgen socket =
     match server_pid with
     | None -> (-1, 0)
     | Some pid ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX socket);
+        let fd = Hlp_server.Client.Addr.(dial (Unix_path socket)) in
         P.write_frame fd
           (P.encode_request
              { P.id = J.Int 0; deadline_ms = None; op = P.Ping 0 });
@@ -1703,8 +1701,7 @@ let chaos_loadgen socket =
       match !conn with
       | Some c -> c
       | None ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          Unix.connect fd (Unix.ADDR_UNIX socket);
+          let fd = Hlp_server.Client.Addr.(dial (Unix_path socket)) in
           let c = (fd, P.reader_of_fd fd) in
           conn := Some c;
           c

@@ -528,7 +528,7 @@ let metrics_port_arg =
 (* --- cluster head options --- *)
 
 module Cluster_head = Hlp_cluster.Head
-module Forwarder = Hlp_cluster.Forwarder
+module Clock = Hlp_util.Clock
 
 let head_arg =
   let doc = "Run as a cluster head instead of a worker: fan requests \
@@ -565,7 +565,7 @@ let parse_backends spec =
       match String.index_opt part '=' with
       | Some i ->
           ( String.sub part 0 i,
-            Forwarder.addr_of_string
+            Client.Addr.of_string
               (String.sub part (i + 1) (String.length part - i - 1)) )
       | None -> failwith ("--backends entry has no name=: " ^ part))
     (List.filter
@@ -618,27 +618,14 @@ let spawn_workers ~dir ~n ~workers ~queue ~sa_cache ~metrics_port =
   (* Wait (bounded) for every worker to accept. *)
   List.iter
     (fun (_, sock) ->
-      let deadline = Unix.gettimeofday () +. 30. in
-      let rec wait () =
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        let ok =
-          try
-            Unix.connect fd (Unix.ADDR_UNIX sock);
-            true
-          with Unix.Unix_error _ -> false
-        in
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if ok then ()
-        else if Unix.gettimeofday () > deadline then
-          failwith ("worker did not come up: " ^ sock)
-        else begin
-          Unix.sleepf 0.05;
-          wait ()
-        end
-      in
-      wait ())
+      let deadline = Clock.monotonic () +. 30. in
+      while not (Hlp_server.Service.socket_alive sock) do
+        if Clock.monotonic () > deadline then
+          failwith ("worker did not come up: " ^ sock);
+        Unix.sleepf 0.05
+      done)
     backends;
-  ( List.map (fun (n, s) -> (n, Forwarder.Unix_path s)) backends,
+  ( List.map (fun (n, s) -> (n, Client.Addr.Unix_path s)) backends,
     List.rev !children )
 
 let run_head ~socket ~tcp ~backends ~spawn ~workers ~queue ~sa_cache
@@ -787,7 +774,7 @@ let raw_arg =
    daemon's memo layers get exercised), close, and report wall-clock
    per phase.  Exit 0 only if every reply was a result. *)
 let run_session_demo c ~bench ~binder ~alpha ~width ~edits ~deadline_ms =
-  let now () = Unix.gettimeofday () in
+  let now = Clock.monotonic in
   let rid = ref 0 in
   let request op =
     incr rid;
@@ -892,7 +879,7 @@ let run_client socket tcp op bench binder alpha width vectors port_assign
   try
     let c =
       match tcp with
-      | Some port -> Client.connect_tcp ~host:"127.0.0.1" ~port ()
+      | Some port -> Client.connect_addr (Client.Addr.Tcp ("127.0.0.1", port))
       | None -> Client.connect socket
     in
     Fun.protect

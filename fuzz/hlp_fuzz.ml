@@ -35,6 +35,7 @@ module Gen = QCheck2.Gen
 module Json = Hlp_server.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
+module Client = Hlp_server.Client
 module Cdfg = Hlp_cdfg.Cdfg
 
 let env_int name default =
@@ -440,8 +441,7 @@ let wire_phase () =
   let server = Server.create ~config () in
   let runner = Thread.create (fun () -> Server.run server) () in
   let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    let fd = Client.Addr.dial (Client.Addr.Unix_path socket_path) in
     (fd, P.reader_of_fd fd)
   in
   let nclients = 4 in

@@ -1,60 +1,15 @@
-module Protocol = Hlp_server.Protocol
+module Client = Hlp_server.Client
 module Telemetry = Hlp_util.Telemetry
-
-type addr = Unix_path of string | Tcp of string * int
-
-let addr_of_string s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when host <> "" && not (String.contains host '/') ->
-          Tcp (host, p)
-      | _ -> Unix_path s)
-  | None -> Unix_path s
-
-let addr_to_string = function
-  | Unix_path p -> p
-  | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-
-type conn = { fd : Unix.file_descr; reader : Protocol.reader }
 
 type t = {
   mu : Mutex.t;
   max_frame : int option;
-  idle : (string, conn list) Hashtbl.t;
+  idle : (string, Client.t list) Hashtbl.t;
   max_idle : int;  (* per address *)
 }
 
 let create ?max_frame () =
   { mu = Mutex.create (); max_frame; idle = Hashtbl.create 8; max_idle = 8 }
-
-let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let dial t addr =
-  let fd =
-    match addr with
-    | Unix_path path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-    | Tcp (host, port) ->
-        let inet =
-          try Unix.inet_addr_of_string host
-          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-        in
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-  in
-  { fd; reader = Protocol.reader_of_fd ?max_frame:t.max_frame fd }
 
 let pop_idle t key =
   Mutex.lock t.mu;
@@ -74,35 +29,24 @@ let push_idle t key c =
   let keep = List.length cur < t.max_idle in
   if keep then Hashtbl.replace t.idle key (c :: cur);
   Mutex.unlock t.mu;
-  if not keep then close_conn c
+  if not keep then Client.close c
 
-let set_timeout fd t =
-  (* Pooled sockets keep their options between requests, so "no
-     timeout" must be set explicitly (0. = blocking): a connection last
-     used by a 2 s health ping would otherwise time out a long bind. *)
-  let s = Option.value ~default:0. t in
-  try
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
-    Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
-  with Unix.Unix_error _ -> ()
-
-(* One attempt on one concrete connection. *)
+(* One attempt on one concrete connection.  Pooled sockets keep their
+   options between requests, so "no timeout" is set explicitly (0. =
+   blocking): a connection last used by a 2 s health ping would
+   otherwise time out a long bind. *)
 let attempt ?timeout_s c frame =
-  set_timeout c.fd timeout_s;
   match
-    Protocol.write_frame c.fd frame;
-    Protocol.read_frame c.reader
+    Client.exchange ~timeout_s:(Option.value ~default:0. timeout_s) c frame
   with
-  | `Frame line -> Ok line
-  | `Eof -> Error "eof before reply"
-  | `Too_large n -> Error (Printf.sprintf "oversized reply (%d bytes)" n)
+  | r -> r
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | exception Sys_error msg -> Error msg
 
 let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
-  let key = addr_to_string addr in
+  let key = Client.Addr.to_string addr in
   let fresh_attempt () =
-    match dial t addr with
+    match Client.connect_addr ?max_frame:t.max_frame addr with
     | exception Unix.Unix_error (e, _, _) ->
         Error (Printf.sprintf "connect: %s" (Unix.error_message e))
     | c -> (
@@ -111,7 +55,7 @@ let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
             push_idle t key c;
             Ok line
         | Error _ as e ->
-            close_conn c;
+            Client.close c;
             e)
   in
   if not retry_stale then
@@ -132,21 +76,21 @@ let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
             (* The pooled socket may just be stale (worker restarted
                between requests); one fresh dial decides whether the
                worker is actually gone. *)
-            close_conn c;
+            Client.close c;
             Telemetry.count "cluster.pool_stale" 1;
             fresh_attempt ())
 
 let invalidate t addr =
-  let key = addr_to_string addr in
+  let key = Client.Addr.to_string addr in
   Mutex.lock t.mu;
   let conns = Option.value ~default:[] (Hashtbl.find_opt t.idle key) in
   Hashtbl.remove t.idle key;
   Mutex.unlock t.mu;
-  List.iter close_conn conns
+  List.iter Client.close conns
 
 let close_all t =
   Mutex.lock t.mu;
   let all = Hashtbl.fold (fun _ cs acc -> cs @ acc) t.idle [] in
   Hashtbl.reset t.idle;
   Mutex.unlock t.mu;
-  List.iter close_conn all
+  List.iter Client.close all

@@ -1,5 +1,5 @@
 (** Raw-frame forwarding from head to workers, over pooled
-    connections.
+    {!Hlp_server.Client} connections.
 
     The head never re-encodes what it relays: a request frame is
     forwarded byte-for-byte and the worker's reply line is returned
@@ -13,14 +13,6 @@
     A request that fails on a {e pooled} connection retries once on a
     fresh dial — the pooled socket may simply have been closed by an
     idle worker — before reporting the worker unreachable. *)
-
-type addr = Unix_path of string | Tcp of string * int
-
-(** [addr_of_string s]: [host:port] (with a numeric port) parses as
-    TCP, anything else is a Unix-domain socket path. *)
-val addr_of_string : string -> addr
-
-val addr_to_string : addr -> string
 
 type t
 
@@ -41,12 +33,12 @@ val request_raw :
   ?timeout_s:float ->
   ?retry_stale:bool ->
   t ->
-  addr ->
+  Hlp_server.Client.Addr.t ->
   string ->
   (string, string) result
 
 (** Drop every pooled connection to [addr] (a shard just declared
     dead). *)
-val invalidate : t -> addr -> unit
+val invalidate : t -> Hlp_server.Client.Addr.t -> unit
 
 val close_all : t -> unit

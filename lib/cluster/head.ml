@@ -1,18 +1,17 @@
 module P = Hlp_server.Protocol
 module Json = Hlp_server.Json
+module Service = Hlp_server.Service
+module Addr = Hlp_server.Client.Addr
 module Telemetry = Hlp_util.Telemetry
-module Clock = Hlp_util.Clock
 module Diagnostic = P.Diagnostic
 
 type config = {
   socket_path : string;
   tcp_port : int option;
-  backends : (string * Forwarder.addr) list;
-  vnodes : int;
+  backends : (string * Addr.t) list;
   ping_interval_ms : int;
   fail_threshold : int;
   max_frame : int;
-  max_inflight : int;
   retry_attempts : int;
   retry_backoff_ms : int;
   forward_timeout_s : float option;
@@ -24,22 +23,19 @@ let default_config =
     socket_path = "/tmp/hlpowerd-head.sock";
     tcp_port = None;
     backends = [];
-    vnodes = 128;
     ping_interval_ms = 500;
     fail_threshold = 2;
     max_frame = P.default_max_frame;
-    max_inflight = 256;
     retry_attempts = 3;
     retry_backoff_ms = 25;
     forward_timeout_s = None;
     metrics_port = None;
   }
 
-type conn_entry = {
-  cfd : Unix.file_descr;
-  writer : P.writer;
-  mutable cth : Thread.t option;
-}
+(* Virtual nodes per shard on the ring, and the concurrent-forward cap
+   beyond which the head replies [overloaded]. *)
+let vnodes = 128
+let max_inflight = 256
 
 type t = {
   cfg : config;
@@ -47,16 +43,9 @@ type t = {
   health : Health.t;
   fwd : Forwarder.t;
   fingerprint : string;
-  listeners : Unix.file_descr list;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
-  started_at : float;
+  svc : Service.t;
   inflight : int Atomic.t;
   rr : int Atomic.t;  (* round-robin cursor for keyless ops *)
-  conn_mu : Mutex.t;
-  mutable conns : conn_entry list;
-  mutable metrics : Hlp_server.Metrics.t option;
   mutable health_th : Thread.t option;
   (* per-shard forward counters, for stats/metrics *)
   counts_mu : Mutex.t;
@@ -73,6 +62,12 @@ let count_shard t name =
   Mutex.unlock t.counts_mu;
   Telemetry.count ("cluster.forward." ^ name) 1
 
+let shard_requests t name =
+  Mutex.lock t.counts_mu;
+  let n = Option.value ~default:0 (Hashtbl.find_opt t.counts name) in
+  Mutex.unlock t.counts_mu;
+  n
+
 (* A ping frame the head originates itself (health checks).  Id 0 is
    fine: these replies are consumed here, never relayed. *)
 let ping_frame =
@@ -86,7 +81,6 @@ let reply_is_ok line =
 let create ?(config = default_config) () =
   if config.backends = [] then
     invalid_arg "Head.create: no backends configured";
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fwd = Forwarder.create ~max_frame:config.max_frame () in
   let ping name =
     match
@@ -105,118 +99,67 @@ let create ?(config = default_config) () =
       ~fail_threshold:config.fail_threshold ~ping
       (List.map fst config.backends)
   in
-  let listeners =
-    (* Same socket semantics as the worker daemon, stale-socket
-       recovery included. *)
-    let listen_unix path =
-      (match Unix.stat path with
-      | { Unix.st_kind = Unix.S_SOCK; _ } ->
-          let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          let alive =
-            try
-              Unix.connect probe (Unix.ADDR_UNIX path);
-              true
-            with Unix.Unix_error _ -> false
-          in
-          Unix.close probe;
-          if alive then raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-          else Unix.unlink path
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 64;
-      fd
-    in
-    let listen_tcp port =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Unix.listen fd 64;
-      fd
-    in
-    listen_unix config.socket_path
-    ::
-    (match config.tcp_port with Some p -> [ listen_tcp p ] | None -> [])
+  let svc =
+    Service.create ~name:"hlpowerd head" ~noun:"head"
+      ~prefix:"cluster.head_" ?tcp_port:config.tcp_port
+      ?metrics_port:config.metrics_port ~max_frame:config.max_frame
+      config.socket_path
   in
-  let wake_r, wake_w = Unix.pipe () in
   {
     cfg = config;
-    ring = Ring.create ~vnodes:config.vnodes (List.map fst config.backends);
+    ring = Ring.create ~vnodes (List.map fst config.backends);
     health;
     fwd;
     fingerprint = Hlp_core.Sa_table.fingerprint ();
-    listeners;
-    wake_r;
-    wake_w;
-    stop = Atomic.make false;
-    started_at = Clock.monotonic ();
+    svc;
     inflight = Atomic.make 0;
     rr = Atomic.make 0;
-    conn_mu = Mutex.create ();
-    conns = [];
-    metrics = None;
     health_th = None;
     counts_mu = Mutex.create ();
     counts = Hashtbl.create 8;
   }
 
-let shutdown t =
-  if not (Atomic.exchange t.stop true) then
-    try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-    with Unix.Unix_error _ -> ()
-
-let install_signal_handlers t =
-  let handle _ = shutdown t in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle handle);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle handle)
-
+let shutdown t = Service.shutdown t.svc
+let install_signal_handlers t = Service.install_signal_handlers t.svc
 let force_health_round t = Health.force_round t.health
 
 let stats_json t : Json.t =
   let shard_objs =
     List.map
       (fun (name, addr) ->
-        Mutex.lock t.counts_mu;
-        let n = Option.value ~default:0 (Hashtbl.find_opt t.counts name) in
-        Mutex.unlock t.counts_mu;
         ( name,
           Json.Obj
             [
-              ("addr", Json.String (Forwarder.addr_to_string addr));
+              ("addr", Json.String (Addr.to_string addr));
               ("alive", Json.Bool (Health.alive t.health name));
-              ("requests", Json.Int n);
+              ("requests", Json.Int (shard_requests t name));
             ] ))
       t.cfg.backends
   in
   Json.Obj
     [
       ("role", Json.String "head");
-      ("uptime_s", Json.Float (Clock.monotonic () -. t.started_at));
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("uptime_s", Json.Float (Service.uptime t.svc));
+      ("draining", Json.Bool (Service.draining t.svc));
       ("inflight", Json.Int (Atomic.get t.inflight));
       ( "ring",
         Json.Obj
           [
             ("shards", Json.Int (Ring.size t.ring));
-            ("vnodes", Json.Int t.cfg.vnodes);
+            ("vnodes", Json.Int vnodes);
             ("fingerprint", Json.String t.fingerprint);
           ] );
       ("shards", Json.Obj shard_objs);
-      ( "telemetry",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters ()))
-      );
+      ("telemetry", Service.telemetry_json ());
     ]
 
-let metrics_body t () =
+(* Shard health and load for /metrics (the core adds uptime, draining
+   and every telemetry counter). *)
+let gauges t () =
   let module Prom = Hlp_util.Prometheus in
   let shard_gauges =
     List.concat_map
       (fun (name, _) ->
-        Mutex.lock t.counts_mu;
-        let n = Option.value ~default:0 (Hashtbl.find_opt t.counts name) in
-        Mutex.unlock t.counts_mu;
         [
           Prom.gauge
             ~labels:[ ("shard", name) ]
@@ -225,20 +168,15 @@ let metrics_body t () =
           Prom.counter
             ~labels:[ ("shard", name) ]
             ~help:"Requests forwarded to the shard." "hlp_shard_requests"
-            (float_of_int n);
+            (float_of_int (shard_requests t name));
         ])
       t.cfg.backends
   in
-  Prom.render
-    (Prom.gauge ~help:"Seconds since the head started." "hlp_uptime_seconds"
-       (Clock.monotonic () -. t.started_at)
-    :: Prom.gauge ~help:"1 while draining, 0 while serving." "hlp_draining"
-         (if Atomic.get t.stop then 1. else 0.)
-    :: Prom.gauge ~help:"Forwards in flight right now." "hlp_head_inflight"
-         (float_of_int (Atomic.get t.inflight))
-    :: Prom.gauge ~help:"Live shards in the ring." "hlp_ring_alive_shards"
-         (float_of_int (List.length (Health.alive_shards t.health)))
-    :: (shard_gauges @ Prom.of_counters (Telemetry.counters ())))
+  Prom.gauge ~help:"Forwards in flight right now." "hlp_head_inflight"
+    (float_of_int (Atomic.get t.inflight))
+  :: Prom.gauge ~help:"Live shards in the ring." "hlp_ring_alive_shards"
+       (float_of_int (List.length (Health.alive_shards t.health)))
+  :: shard_gauges
 
 (* --- routing --- *)
 
@@ -273,21 +211,16 @@ let candidates t (op : P.op) =
           let arr = Array.of_list alive in
           List.init n (fun j -> arr.((i + j) mod n)))
 
-let unavailable_reply ~id fmt =
+let diagnosed_reply s_code code ~id fmt =
   Printf.ksprintf
     (fun msg ->
       P.error_reply
-        ~diagnostics:[ Diagnostic.error "S017" Diagnostic.Design "%s" msg ]
-        ~id P.Unavailable "%s" msg)
+        ~diagnostics:[ Diagnostic.error s_code Diagnostic.Design "%s" msg ]
+        ~id code "%s" msg)
     fmt
 
-let bad_session_reply ~id fmt =
-  Printf.ksprintf
-    (fun msg ->
-      P.error_reply
-        ~diagnostics:[ Diagnostic.error "S018" Diagnostic.Design "%s" msg ]
-        ~id P.Bad_request "%s" msg)
-    fmt
+let unavailable_reply ~id fmt = diagnosed_reply "S017" P.Unavailable ~id fmt
+let bad_session_reply ~id fmt = diagnosed_reply "S018" P.Bad_request ~id fmt
 
 (* Forward [frame] to the shards in [names] order: first success wins;
    transport failures demerit the shard and move on after a bounded
@@ -362,14 +295,6 @@ let rewrite_reply_session ~shard line =
 
 (* --- request handling --- *)
 
-let send_line writer line =
-  match P.write_framed writer line with
-  | `Ok -> ()
-  | `Error | `Dropped -> Telemetry.count "cluster.head_replies_unwritable" 1
-  | `Poisoned -> Telemetry.count "cluster.head_conns_poisoned" 1
-
-let send_reply writer reply = send_line writer (P.encode_reply reply)
-
 (* The aggregated [cluster_stats]: every live shard's own reply keyed
    by name, next to the head's stats. *)
 let cluster_stats_json t =
@@ -401,34 +326,35 @@ let cluster_stats_json t =
       ("shards", Json.Obj shard_results);
     ]
 
-let handle_request t writer ~raw (req : P.request) =
+(* One forward to the shard that holds (or will hold) a session: a
+   fresh dial and never a transport retry — the shard may have applied
+   the frame before dying, and a replay would apply it twice (an open
+   would leak a session silently; a client retry opens a fresh one,
+   which is correct).  Session ids in the reply go back out prefixed
+   with the shard. *)
+let forward_session t conn ~id ~shard ~lost frame =
+  let addr = addr_of t shard in
+  count_shard t shard;
+  match
+    Forwarder.request_raw ?timeout_s:t.cfg.forward_timeout_s
+      ~retry_stale:false t.fwd addr frame
+  with
+  | Ok line ->
+      Health.note_success t.health shard;
+      Service.send_line conn (rewrite_reply_session ~shard line)
+  | Error msg ->
+      Health.note_failure t.health shard;
+      Forwarder.invalidate t.fwd addr;
+      Telemetry.count "cluster.session_unavailable" 1;
+      Service.send conn (unavailable_reply ~id "%s" (lost msg))
+
+let handle_request t conn ~raw (req : P.request) =
+  let id = req.P.id in
+  let unroutable () =
+    Telemetry.count "cluster.unroutable" 1;
+    Service.send conn (unavailable_reply ~id "no live shards in the ring")
+  in
   match req.P.op with
-  | P.Stats ->
-      send_reply writer
-        {
-          P.reply_id = req.P.id;
-          payload =
-            P.Result
-              {
-                op = "stats";
-                result = stats_json t;
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
-  | P.Cluster_stats ->
-      send_reply writer
-        {
-          P.reply_id = req.P.id;
-          payload =
-            P.Result
-              {
-                op = "cluster_stats";
-                result = cluster_stats_json t;
-                telemetry = [];
-                elapsed_ms = 0.;
-              };
-        }
   | P.Session_edit _ | P.Session_close _ -> (
       let sid, rebuild =
         match req.P.op with
@@ -443,212 +369,90 @@ let handle_request t writer ~raw (req : P.request) =
       match split_session sid with
       | None ->
           Telemetry.count "cluster.bad_session_id" 1;
-          send_reply writer
-            (bad_session_reply ~id:req.P.id
+          Service.send conn
+            (bad_session_reply ~id
                "session id %S names no shard (expected shard/id, as issued \
                 by session_open)"
                sid)
-      | Some (shard, inner) -> (
-          match List.assoc_opt shard t.cfg.backends with
-          | None ->
-              Telemetry.count "cluster.bad_session_id" 1;
-              send_reply writer
-                (bad_session_reply ~id:req.P.id
-                   "session id %S names unknown shard %S" sid shard)
-          | Some addr ->
-              if not (Health.alive t.health shard) then begin
-                Telemetry.count "cluster.session_unavailable" 1;
-                send_reply writer
-                  (unavailable_reply ~id:req.P.id
-                     "shard %s holding session %s is down; the session is \
-                      lost — reopen it"
-                     shard sid)
-              end
-              else begin
-                let frame =
-                  P.encode_request
-                    {
-                      P.id = req.P.id;
-                      deadline_ms = req.P.deadline_ms;
-                      op = rebuild inner;
-                    }
-                in
-                count_shard t shard;
-                match
-                  Forwarder.request_raw ?timeout_s:t.cfg.forward_timeout_s
-                    ~retry_stale:false t.fwd addr frame
-                with
-                | Ok line ->
-                    Health.note_success t.health shard;
-                    (* Session ids in the reply (if any) go back out
-                       prefixed, like session_open's. *)
-                    send_line writer (rewrite_reply_session ~shard line)
-                | Error msg ->
-                    (* Never transport-retry a session edit: the shard
-                       may have applied the delta before dying, and a
-                       replay would double-apply it. *)
-                    Health.note_failure t.health shard;
-                    Forwarder.invalidate t.fwd addr;
-                    Telemetry.count "cluster.session_unavailable" 1;
-                    send_reply writer
-                      (unavailable_reply ~id:req.P.id
-                         "shard %s died mid-session (%s); session %s is \
-                          lost — reopen it"
-                         shard msg sid)
-              end))
+      | Some (shard, _) when not (List.mem_assoc shard t.cfg.backends) ->
+          Telemetry.count "cluster.bad_session_id" 1;
+          Service.send conn
+            (bad_session_reply ~id "session id %S names unknown shard %S" sid
+               shard)
+      | Some (shard, _) when not (Health.alive t.health shard) ->
+          Telemetry.count "cluster.session_unavailable" 1;
+          Service.send conn
+            (unavailable_reply ~id
+               "shard %s holding session %s is down; the session is lost — \
+                reopen it"
+               shard sid)
+      | Some (shard, inner) ->
+          forward_session t conn ~id ~shard
+            ~lost:(fun msg ->
+              Printf.sprintf
+                "shard %s died mid-session (%s); session %s is lost — \
+                 reopen it"
+                shard msg sid)
+            (P.encode_request
+               { P.id; deadline_ms = req.P.deadline_ms; op = rebuild inner }))
   | P.Session_open _ -> (
-      (* Route by key, single shard, no transport retry (an open that
-         died mid-flight may have created the session; a client retry
-         creates a fresh one, which is correct — a head retry would
-         leak one silently). *)
+      (* Route by key to a single shard. *)
       match candidates t req.P.op with
-      | [] ->
-          Telemetry.count "cluster.unroutable" 1;
-          send_reply writer
-            (unavailable_reply ~id:req.P.id "no live shards in the ring")
-      | shard :: _ -> (
-          count_shard t shard;
-          match
-            Forwarder.request_raw ?timeout_s:t.cfg.forward_timeout_s
-              ~retry_stale:false t.fwd (addr_of t shard) raw
-          with
-          | Ok line ->
-              Health.note_success t.health shard;
-              send_line writer (rewrite_reply_session ~shard line)
-          | Error msg ->
-              Health.note_failure t.health shard;
-              Forwarder.invalidate t.fwd (addr_of t shard);
-              Telemetry.count "cluster.session_unavailable" 1;
-              send_reply writer
-                (unavailable_reply ~id:req.P.id
-                   "shard %s unreachable (%s); retry to open on a \
-                    failed-over shard"
-                   shard msg)))
-  | P.Ping _ | P.Bind _ | P.Flow _ | P.Explore _ | P.Lint _ -> (
+      | [] -> unroutable ()
+      | shard :: _ ->
+          forward_session t conn ~id ~shard
+            ~lost:(fun msg ->
+              Printf.sprintf
+                "shard %s unreachable (%s); retry to open on a failed-over \
+                 shard"
+                shard msg)
+            raw)
+  | P.Ping _ | P.Bind _ | P.Flow _ | P.Explore _ | P.Lint _
+  (* [stats]/[cluster_stats] never get here: the core answers them. *)
+  | P.Stats | P.Cluster_stats -> (
       (* Idempotent: failover across live replicas in ring order. *)
       match candidates t req.P.op with
-      | [] ->
-          Telemetry.count "cluster.unroutable" 1;
-          send_reply writer
-            (unavailable_reply ~id:req.P.id "no live shards in the ring")
+      | [] -> unroutable ()
       | names -> (
           match
             forward_failover t ~names ~attempts:t.cfg.retry_attempts raw
           with
-          | Ok line -> send_line writer line
+          | Ok line -> Service.send_line conn line
           | Error msg ->
-              send_reply writer
-                (unavailable_reply ~id:req.P.id
+              Service.send conn
+                (unavailable_reply ~id
                    "request failed on every live replica (last: %s)" msg)))
 
-let serve_conn t entry =
-  let reader = P.reader_of_fd ~max_frame:t.cfg.max_frame entry.cfd in
-  let rec loop () =
-    if P.writer_poisoned entry.writer then ()
-    else
-      match P.read_frame reader with
-      | `Eof -> ()
-      | `Too_large n ->
-          Telemetry.count "cluster.head_frames_too_large" 1;
-          send_reply entry.writer
-            (P.error_reply
-               ~diagnostics:
-                 [
-                   Diagnostic.error "S012" (Diagnostic.Line 1)
-                     "frame of %d bytes exceeds the %d-byte limit and was \
-                      discarded unread"
-                     n t.cfg.max_frame;
-                 ]
-               ~id:Json.Null P.Frame_too_large
-               "frame of %d bytes exceeds the %d-byte limit" n
-               t.cfg.max_frame);
-          loop ()
-      | `Frame line ->
-          Telemetry.count "cluster.head_frames" 1;
-          (match P.decode_request line with
-          | Error { P.err_code; err_id; err_diagnostics } ->
-              Telemetry.count "cluster.head_frames_invalid" 1;
-              send_reply entry.writer
-                (P.error_reply ~diagnostics:err_diagnostics ~id:err_id
-                   err_code "invalid request frame")
-          | Ok req ->
-              if Atomic.get t.stop then
-                send_reply entry.writer
-                  (P.error_reply ~id:req.P.id P.Draining
-                     "head is draining; connect again after restart")
-              else if Atomic.fetch_and_add t.inflight 1 >= t.cfg.max_inflight
-              then begin
-                ignore (Atomic.fetch_and_add t.inflight (-1));
-                Telemetry.count "cluster.head_overloaded" 1;
-                send_reply entry.writer
-                  (P.error_reply ~id:req.P.id P.Overloaded
-                     "head at max in-flight forwards (%d); retry later"
-                     t.cfg.max_inflight)
-              end
-              else
-                Fun.protect
-                  ~finally:(fun () ->
-                    ignore (Atomic.fetch_and_add t.inflight (-1)))
-                  (fun () -> handle_request t entry.writer ~raw:line req));
-          loop ()
-  in
-  (try loop () with Unix.Unix_error _ | Sys_error _ -> ());
-  Mutex.lock t.conn_mu;
-  t.conns <- List.filter (fun e -> e != entry) t.conns;
-  Mutex.unlock t.conn_mu;
-  try Unix.close entry.cfd with Unix.Unix_error _ -> ()
+(* Admission: the [max_inflight] cap.  The slot is taken before the
+   draining check, so once drain has seen zero forwards in flight no
+   new one can start. *)
+let dispatch t conn ~raw (req : P.request) =
+  if Atomic.fetch_and_add t.inflight 1 >= max_inflight then begin
+    ignore (Atomic.fetch_and_add t.inflight (-1));
+    Telemetry.count "cluster.head_overloaded" 1;
+    Service.send conn
+      (P.error_reply ~id:req.P.id P.Overloaded
+         "head at max in-flight forwards (%d); retry later" max_inflight)
+  end
+  else
+    Fun.protect
+      ~finally:(fun () -> ignore (Atomic.fetch_and_add t.inflight (-1)))
+      (fun () ->
+        if Service.draining t.svc then
+          Service.send conn (Service.draining_reply t.svc ~id:req.P.id)
+        else handle_request t conn ~raw req)
 
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stop then ()
-    else
-      match Unix.select (t.wake_r :: t.listeners) [] [] (-1.) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | readable, _, _ ->
-          if List.mem t.wake_r readable || Atomic.get t.stop then ()
-          else begin
-            List.iter
-              (fun lfd ->
-                if List.mem lfd readable then
-                  match Unix.accept lfd with
-                  | exception Unix.Unix_error _ -> ()
-                  | fd, _ ->
-                      Telemetry.count "cluster.head_connections" 1;
-                      let entry =
-                        { cfd = fd; writer = P.writer_of_fd fd; cth = None }
-                      in
-                      Mutex.lock t.conn_mu;
-                      t.conns <- entry :: t.conns;
-                      Mutex.unlock t.conn_mu;
-                      let th =
-                        Thread.create (fun () -> serve_conn t entry) ()
-                      in
-                      Mutex.lock t.conn_mu;
-                      entry.cth <- Some th;
-                      Mutex.unlock t.conn_mu)
-              t.listeners;
-            loop ()
-          end
-  in
-  loop ()
+(* Let every in-flight forward complete and its reply flush, then stop
+   the auxiliaries.  Worker shutdown belongs to whoever spawned the
+   workers. *)
+let drain t () =
+  while Atomic.get t.inflight > 0 do
+    Thread.delay 0.005
+  done;
+  Option.iter Thread.join t.health_th;
+  Forwarder.close_all t.fwd
 
 let run t =
-  Logs.info (fun m ->
-      m "hlpowerd head: listening on %s%s, %d shard(s), %d vnodes"
-        t.cfg.socket_path
-        (match t.cfg.tcp_port with
-        | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
-        | None -> "")
-        (List.length t.cfg.backends)
-        t.cfg.vnodes);
-  (match t.cfg.metrics_port with
-  | None -> ()
-  | Some port ->
-      let m = Hlp_server.Metrics.start ~port (metrics_body t) in
-      t.metrics <- Some m;
-      Logs.info (fun l ->
-          l "hlpowerd head: /metrics on 127.0.0.1:%d"
-            (Hlp_server.Metrics.port m)));
   (* Health thread: wall-clock pacing for the loop, Clock.now pacing
      for the ping schedule (so tests can drive it with a fake clock and
      force_health_round). *)
@@ -656,45 +460,20 @@ let run t =
     Some
       (Thread.create
          (fun () ->
-           while not (Atomic.get t.stop) do
+           while not (Service.draining t.svc) do
              (try Health.check_due t.health with _ -> ());
              Thread.delay 0.05
            done)
          ());
-  accept_loop t;
-  Logs.info (fun m -> m "hlpowerd head: draining");
-  (* 1. Stop accepting; new frames on live connections get [draining]
-        replies (checked per frame in serve_conn). *)
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    t.listeners;
-  (try Unix.unlink t.cfg.socket_path
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  (* 2. Unblock idle readers but let in-flight forwards finish: shut
-        only the receive side, so a handler mid-forward still writes
-        its reply before its loop sees EOF. *)
-  Mutex.lock t.conn_mu;
-  let conns = t.conns in
-  Mutex.unlock t.conn_mu;
-  List.iter
-    (fun { cfd; _ } ->
-      try Unix.shutdown cfd Unix.SHUTDOWN_RECEIVE
-      with Unix.Unix_error _ -> ())
-    conns;
-  List.iter
-    (fun { cth; _ } -> match cth with Some th -> Thread.join th | None -> ())
-    conns;
-  (* 3. Stop the auxiliaries. *)
-  (match t.health_th with Some th -> Thread.join th | None -> ());
-  (match t.metrics with
-  | Some m ->
-      Hlp_server.Metrics.stop m;
-      t.metrics <- None
-  | None -> ());
-  Forwarder.close_all t.fwd;
-  Telemetry.write_if_requested ();
-  (try
-     Unix.close t.wake_r;
-     Unix.close t.wake_w
-   with Unix.Unix_error _ -> ());
-  Logs.info (fun m -> m "hlpowerd head: drained, exiting")
+  Service.run t.svc
+    {
+      Service.banner =
+        Printf.sprintf ", %d shard(s), %d vnodes"
+          (List.length t.cfg.backends)
+          vnodes;
+      stats = (fun () -> stats_json t);
+      cluster_stats = (fun () -> cluster_stats_json t);
+      gauges = gauges t;
+      dispatch = dispatch t;
+      drain = drain t;
+    }

@@ -22,24 +22,29 @@
     - [cluster_stats]: aggregated — every live shard's reply keyed by
       shard name, next to the head's own stats.
 
+    The head is a {!Hlp_server.Service} role: the core owns the
+    sockets, the connection threads, the S012/decode-error replies and
+    the drain sequence; this module supplies the forwarding dispatch
+    and a drain hook.  At most 256 forwards run at once (beyond that,
+    [overloaded]); the ring places 128 virtual nodes per shard.
+
     Forwarded frames are relayed byte-for-byte in both directions;
     only session ids are rewritten (by decode/re-encode, which the
     JSON layer keeps byte-stable).  Worker health: periodic pings on
     the injectable {!Hlp_util.Clock} timeline plus immediate demerits
-    from forwarding failures ({!Health}).  SIGTERM stops admission,
-    lets every in-flight forward complete and its reply flush, then
-    returns from {!run} — worker shutdown belongs to whoever spawned
-    the workers. *)
+    from forwarding failures ({!Health}).  SIGTERM stops admission
+    ([stats] still answers, with ["draining": true]), lets every
+    in-flight forward complete and its reply flush, then returns from
+    {!run} — worker shutdown belongs to whoever spawned the workers. *)
 
 type config = {
   socket_path : string;
   tcp_port : int option;
-  backends : (string * Forwarder.addr) list;  (** shard name, address *)
-  vnodes : int;
+  backends : (string * Hlp_server.Client.Addr.t) list;
+      (** shard name, address *)
   ping_interval_ms : int;
   fail_threshold : int;
   max_frame : int;
-  max_inflight : int;  (** concurrent forwards; beyond it, [overloaded] *)
   retry_attempts : int;  (** failover attempts for idempotent requests *)
   retry_backoff_ms : int;
   forward_timeout_s : float option;

@@ -227,13 +227,15 @@ let class_of_name = function
    table could produce different Eq. 4 weights than the run that wrote
    it. *)
 
-let write_table t oc =
+let write_rows ~width ~k oc rows =
   Printf.fprintf oc "# sa_table v%d width=%d k=%d lib=%s\n" format_version
-    t.width t.k (fingerprint ());
+    width k (fingerprint ());
   List.iter
     (fun (cls, l, r, sa) ->
       Printf.fprintf oc "%s %d %d %h\n" (class_name cls) l r sa)
-    (entries t)
+    rows
+
+let write_table t oc = write_rows ~width:t.width ~k:t.k oc (entries t)
 
 let save t path =
   let oc = open_out path in
@@ -369,6 +371,43 @@ let mkdir_p dir =
   in
   go dir
 
+(* Several tables — in this process or in others sharing the cache
+   directory — may persist to one path.  Each write therefore merges:
+   under the path's lock it re-reads the file, takes the union of the
+   file's rows and its own (rows are pure functions of their key, so
+   equal keys carry equal bits), and publishes the union by temp file +
+   rename, so a concurrent reader never sees a half-written table.
+   [lockf] locks belong to the process, so [persist_mu] serialises the
+   writers inside this one. *)
+let persist_mu = Mutex.create ()
+
+let with_path_lock path f =
+  Mutex.lock persist_mu;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock persist_mu)
+    (fun () ->
+      let fd =
+        Unix.openfile (path ^ ".lock")
+          [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ]
+          0o644
+      in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.lockf fd Unix.F_LOCK 0;
+          f ()))
+
+(* The rows already on disk at [path]; an unreadable or invalid file
+   contributes nothing (this write replaces it). *)
+let disk_rows t path =
+  match
+    let ic = open_in path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> parse_channel ic)
+  with
+  | w, k, rows when w = t.width && k = t.k -> rows
+  | _ -> []
+  | exception (Parse_error _ | Sys_error _) -> []
+
 let persist t =
   match t.persist_path with
   | None -> ()
@@ -378,24 +417,41 @@ let persist t =
       t.dirty <- false;
       Mutex.unlock t.mu;
       if dirty then
-        (* Atomic publish: never expose a half-written table to a
-           concurrent reader — write a fresh temp file in the same
-           directory (same filesystem) and rename over the target. *)
         try
           let dir = Filename.dirname path in
           mkdir_p dir;
-          let tmp, oc =
-            Filename.open_temp_file ~temp_dir:dir ~perms:0o644
-              (Filename.basename path ^ ".") ".tmp"
-          in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-              write_table t oc);
-          Sys.rename tmp path;
+          with_path_lock path (fun () ->
+              let union = Hashtbl.create 256 in
+              List.iter
+                (fun (key, sa) -> Hashtbl.replace union key sa)
+                (disk_rows t path);
+              List.iter
+                (fun (cls, l, r, sa) -> Hashtbl.replace union (cls, l, r) sa)
+                (entries t);
+              let rows =
+                List.sort compare
+                  (Hashtbl.fold
+                     (fun (cls, l, r) sa acc -> (cls, l, r, sa) :: acc)
+                     union [])
+              in
+              let tmp, oc =
+                Filename.open_temp_file ~temp_dir:dir ~perms:0o644
+                  (Filename.basename path ^ ".") ".tmp"
+              in
+              Fun.protect
+                ~finally:(fun () -> close_out oc)
+                (fun () -> write_rows ~width:t.width ~k:t.k oc rows);
+              Sys.rename tmp path);
           Telemetry.incr c_cache_writes
-        with Sys_error msg ->
-          (* The cache is an accelerator, never a correctness dependency:
-             an unwritable directory must not fail the run. *)
-          Printf.eprintf "[sa_table] cannot persist %s: %s\n%!" path msg)
+        with
+        | Sys_error msg ->
+            (* The cache is an accelerator, never a correctness
+               dependency: an unwritable directory must not fail the
+               run. *)
+            Printf.eprintf "[sa_table] cannot persist %s: %s\n%!" path msg
+        | Unix.Unix_error (e, _, _) ->
+            Printf.eprintf "[sa_table] cannot persist %s: %s\n%!" path
+              (Unix.error_message e))
 
 let create_persistent ?(width = 8) ?(k = 4) ~dir () =
   if width < 1 then invalid_arg "Sa_table.create: bad width";

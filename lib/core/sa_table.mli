@@ -84,10 +84,13 @@ val create_default : ?width:int -> ?k:int -> unit -> t
     (["HLP_SA_CACHE"]). *)
 val cache_env : string
 
-(** [persist t] writes the table to its cache file now (atomic temp +
-    rename), if [t] is persistent and has entries not yet on disk.
-    Also runs automatically at process exit.  No-op for in-memory
-    tables. *)
+(** [persist t] writes the table to its cache file now, if [t] is
+    persistent and has entries not yet on disk.  The write merges: under
+    a lock file next to the cache file it re-reads the file, writes the
+    union of its rows and [t]'s to a temp file and renames it over the
+    cache file, so tables sharing a path — in one process or several —
+    never lose each other's rows.  Also runs automatically at process
+    exit.  No-op for in-memory tables. *)
 val persist : t -> unit
 
 (** [cache_file t] is the cache file path backing [t], if persistent. *)

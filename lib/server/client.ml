@@ -1,4 +1,39 @@
-type addr = Addr_unix of string | Addr_tcp of string * int
+module Addr = struct
+  type t = Unix_path of string | Tcp of string * int
+
+  let of_string s =
+    match String.rindex_opt s ':' with
+    | Some i -> (
+        let host = String.sub s 0 i in
+        let port = String.sub s (i + 1) (String.length s - i - 1) in
+        match int_of_string_opt port with
+        | Some p when host <> "" && not (String.contains host '/') ->
+            Tcp (host, p)
+        | _ -> Unix_path s)
+    | None -> Unix_path s
+
+  let to_string = function
+    | Unix_path p -> p
+    | Tcp (h, p) -> Printf.sprintf "%s:%d" h p
+
+  let dial addr =
+    let domain, sockaddr =
+      match addr with
+      | Unix_path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+      | Tcp (host, port) ->
+          let inet =
+            try Unix.inet_addr_of_string host
+            with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+          in
+          (Unix.PF_INET, Unix.ADDR_INET (inet, port))
+    in
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    (try Unix.connect fd sockaddr
+     with e ->
+       (try Unix.close fd with Unix.Unix_error _ -> ());
+       raise e);
+    fd
+end
 
 type t = {
   mutable fd : Unix.file_descr;
@@ -8,67 +43,43 @@ type t = {
          number may already belong to another thread's socket, so it
          must not be read, written, or closed again until a reconnect
          installs a fresh one. *)
-  addr : addr option;  (* None for [of_fd]: no way to reconnect *)
+  addr : Addr.t;
   max_frame : int option;
 }
 
-let of_fd ?max_frame fd =
-  {
-    fd;
-    reader = Protocol.reader_of_fd ?max_frame fd;
-    dead = false;
-    addr = None;
-    max_frame;
-  }
+let connect_addr ?max_frame addr =
+  let fd = Addr.dial addr in
+  { fd; reader = Protocol.reader_of_fd ?max_frame fd; dead = false; addr;
+    max_frame }
 
-let connect_fd addr =
-  match addr with
-  | Addr_unix path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-  | Addr_tcp (host, port) ->
-      let inet =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (inet, port))
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-
-let of_addr ?max_frame addr =
-  let fd = connect_fd addr in
-  {
-    fd;
-    reader = Protocol.reader_of_fd ?max_frame fd;
-    dead = false;
-    addr = Some addr;
-    max_frame;
-  }
-
-let connect ?max_frame path = of_addr ?max_frame (Addr_unix path)
-
-let connect_tcp ?max_frame ~host ~port () =
-  of_addr ?max_frame (Addr_tcp (host, port))
+let connect ?max_frame path = connect_addr ?max_frame (Addr.Unix_path path)
 
 let send c req = Protocol.write_frame c.fd (Protocol.encode_request req)
 let send_raw c line = Protocol.write_frame c.fd line
 
-let recv c =
+let closed_msg = "connection closed by the daemon"
+
+let read_line c =
   match Protocol.read_frame c.reader with
-  | `Eof -> Error "connection closed by the daemon"
+  | `Frame line -> Ok line
+  | `Eof -> Error closed_msg
   | `Too_large n -> Error (Printf.sprintf "oversized reply frame (%d bytes)" n)
-  | `Frame line -> Protocol.decode_reply line
+
+let recv c = Result.bind (read_line c) Protocol.decode_reply
+
+let exchange ?timeout_s c frame =
+  (match timeout_s with
+  | Some s -> (
+      try
+        Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO s;
+        Unix.setsockopt_float c.fd Unix.SO_SNDTIMEO s
+      with Unix.Unix_error _ -> ())
+  | None -> ());
+  send_raw c frame;
+  read_line c
 
 let request c req =
-  send c req;
-  recv c
+  Result.bind (exchange c (Protocol.encode_request req)) Protocol.decode_reply
 
 let close c =
   if not c.dead then begin
@@ -77,22 +88,18 @@ let close c =
   end
 
 let reconnect c =
-  match c.addr with
-  | None -> false
-  | Some addr -> (
-      close c;
-      match connect_fd addr with
-      | fd ->
-          c.fd <- fd;
-          c.reader <- Protocol.reader_of_fd ?max_frame:c.max_frame fd;
-          c.dead <- false;
-          true
-      | exception
-          Unix.Unix_error
-            ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET), _, _) ->
-          (* Nothing listening (yet): [c] stays dead and the caller's
-             backoff loop decides whether to try again. *)
-          false)
+  close c;
+  match Addr.dial c.addr with
+  | fd ->
+      c.fd <- fd;
+      c.reader <- Protocol.reader_of_fd ?max_frame:c.max_frame fd;
+      c.dead <- false
+  | exception
+      Unix.Unix_error
+        ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ECONNRESET), _, _) ->
+      (* Nothing listening (yet): [c] stays dead and the caller's
+         backoff loop decides whether to try again. *)
+      ()
 
 (* The transport failures a daemon restart produces, in order of where
    they strike: connect refused, send into a dead peer (EPIPE/reset),
@@ -101,9 +108,7 @@ let reconnect c =
 let transport_failed f =
   match f () with
   | Ok _ as ok -> `Done ok
-  | Error msg ->
-      if msg = "connection closed by the daemon" then `Transport msg
-      else `Done (Error msg)
+  | Error msg -> if msg = closed_msg then `Transport msg else `Done (Error msg)
   | exception
       Unix.Unix_error
         (( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EPIPE | Unix.ENOENT
@@ -122,26 +127,20 @@ let request_retry ?(attempts = 4) ?(backoff_ms = 50) c req =
         (Printf.sprintf "request failed after %d attempt(s): %s" attempts
            last_err)
     else begin
-      (if n > 0 then begin
-         Thread.delay (float_of_int backoff /. 1000.);
-         ignore (reconnect c)
-       end);
+      if n > 0 then begin
+        Thread.delay (float_of_int backoff /. 1000.);
+        reconnect c
+      end;
       if c.dead then
         (* The last reconnect failed (daemon still down): the stored fd
            is stale, so don't touch it — just keep backing off. *)
-        if c.addr = None then Error "connection closed"
-        else
-          go (n + 1)
-            (min 2000 (backoff * 2))
-            "reconnect failed: nothing listening at the daemon address"
+        go (n + 1)
+          (min 2000 (backoff * 2))
+          "reconnect failed: nothing listening at the daemon address"
       else
         match transport_failed (fun () -> request c req) with
         | `Done r -> r
-        | `Transport msg ->
-            if c.addr = None then
-              (* [of_fd] clients own a socket we cannot re-open. *)
-              Error msg
-            else go (n + 1) (min 2000 (backoff * 2)) msg
+        | `Transport msg -> go (n + 1) (min 2000 (backoff * 2)) msg
     end
   in
   go 0 backoff_ms "unreachable"

@@ -1,6 +1,21 @@
 (** Blocking client for the [hlpowerd] protocol — used by the CLI
-    [client] subcommand, the bench load generator, and the serving
-    tests. *)
+    [client] subcommand, the bench load generator, the serving tests,
+    and (as its pooled transport) the cluster head's forwarder. *)
+
+(** Where a daemon listens. *)
+module Addr : sig
+  type t = Unix_path of string | Tcp of string * int
+
+  (** [of_string s]: [host:port] (with a numeric port) parses as TCP,
+      anything else is a Unix-domain socket path. *)
+  val of_string : string -> t
+
+  val to_string : t -> string
+
+  (** [dial addr] opens a connected stream socket.
+      @raise Unix.Unix_error when nobody is listening. *)
+  val dial : t -> Unix.file_descr
+end
 
 type t
 
@@ -8,13 +23,15 @@ type t
     @raise Unix.Unix_error when nobody is listening. *)
 val connect : ?max_frame:int -> string -> t
 
-(** [connect_tcp ~host ~port ()] connects to a TCP daemon. *)
-val connect_tcp : ?max_frame:int -> host:string -> port:int -> unit -> t
+(** [connect_addr addr] connects to a daemon at any {!Addr.t}. *)
+val connect_addr : ?max_frame:int -> Addr.t -> t
 
-(** [of_fd fd] wraps an already-connected socket.  Such a client has no
-    address to reconnect to, so {!request_retry} degrades to plain
-    {!request}. *)
-val of_fd : ?max_frame:int -> Unix.file_descr -> t
+(** [exchange c frame] writes one raw frame and blocks for one raw
+    reply line.  [timeout_s], when given, bounds each socket operation
+    from now on ([0.] = block forever).  [Error] is an EOF or an
+    oversized reply.
+    @raise Unix.Unix_error or [Sys_error] on a socket failure. *)
+val exchange : ?timeout_s:float -> t -> string -> (string, string) result
 
 (** [request c req] sends [req] and blocks for one reply.  [Error] is a
     transport- or decode-level failure (connection closed, bad frame) —
@@ -27,10 +44,9 @@ val request : t -> Protocol.request -> (Protocol.reply, string) result
     retry-with-backoff across transport failures: [ECONNREFUSED] /
     [EPIPE] / reset on send, or EOF before the reply arrives — the
     symptoms of a daemon restart.  Between attempts the connection is
-    re-established from the address given at {!connect} time (clients
-    built with [of_fd] cannot reconnect and fail on the first transport
-    error).  Backoff doubles from [backoff_ms] (default 50 ms, capped
-    at 2 s) for up to [attempts] tries (default 4).
+    re-established from the address given at connect time.  Backoff
+    doubles from [backoff_ms] (default 50 ms, capped at 2 s) for up to
+    [attempts] tries (default 4).
 
     Only use this for idempotent requests: a retried frame may execute
     twice when the failure struck after the daemon accepted it but

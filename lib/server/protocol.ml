@@ -762,18 +762,42 @@ let decode_request line =
           problem "parameter %S must be positive" name;
           default)
       in
+      let check_alpha a =
+        if not (usable_number a) then
+          add_problem
+            (Diagnostic.error "S009" Design
+               "parameter \"alpha\" is not a usable number (infinite, NaN \
+                or subnormal)")
+        else if not (a >= 0. && a <= 1.) then
+          problem "parameter \"alpha\" must be within [0, 1]"
+      in
+      (* Whether a "graph" was given, and its decoding ([None] when
+         absent or invalid). *)
+      let graph_param () =
+        match Json.member "graph" params with
+        | None | Some Json.Null -> (false, None)
+        | Some v -> (true, decode_graph ~add:add_problem v)
+      in
+      (* The checks [bind]/[flow] and [session_open] share, in this
+         order: bench/graph exclusivity, binder, alpha, width cap. *)
+      let check_design ~graph_given ~bench ~binder ~alpha ~width =
+        if graph_given then begin
+          if bench <> "" then
+            problem
+              "parameters \"bench\" and \"graph\" are mutually exclusive"
+        end
+        else if bench = "" then
+          problem "parameter \"bench\" or \"graph\" is required";
+        if not (binder = "hlpower" || binder = "lopass") then
+          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
+        check_alpha alpha;
+        if width > max_width then
+          problem "parameter \"width\" must be within 1..%d (got %d)"
+            max_width width
+      in
       let bind_params () =
         let d = default_bind_params in
-        let graph_given =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> false
-          | Some _ -> true
-        in
-        let graph =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_graph ~add:add_problem v
-        in
+        let graph_given, graph = graph_param () in
         let model =
           match Json.member "model" params with
           | None | Some Json.Null -> None
@@ -813,25 +837,8 @@ let decode_request line =
             model;
           }
         in
-        if graph_given then begin
-          if p.bench <> "" then
-            problem
-              "parameters \"bench\" and \"graph\" are mutually exclusive"
-        end
-        else if p.bench = "" then
-          problem "parameter \"bench\" or \"graph\" is required";
-        if not (p.binder = "hlpower" || p.binder = "lopass") then
-          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
-        if not (usable_number p.alpha) then
-          add_problem
-            (Diagnostic.error "S009" Design
-               "parameter \"alpha\" is not a usable number (infinite, NaN \
-                or subnormal)")
-        else if not (p.alpha >= 0. && p.alpha <= 1.) then
-          problem "parameter \"alpha\" must be within [0, 1]";
-        if p.width > max_width then
-          problem "parameter \"width\" must be within 1..%d (got %d)"
-            max_width p.width;
+        check_design ~graph_given ~bench:p.bench ~binder:p.binder
+          ~alpha:p.alpha ~width:p.width;
         p
       in
       let int_list name ~default =
@@ -843,15 +850,6 @@ let decode_request line =
                 else None))
           ~default
       in
-      let check_alpha a =
-        if not (usable_number a) then
-          add_problem
-            (Diagnostic.error "S009" Design
-               "parameter \"alpha\" is not a usable number (infinite, NaN \
-                or subnormal)")
-        else if not (a >= 0. && a <= 1.) then
-          problem "parameter \"alpha\" must be within [0, 1]"
-      in
       let session_id () =
         let s = field "session" Json.to_string_opt ~default:"" in
         if s = "" then problem "parameter \"session\" is required"
@@ -862,16 +860,7 @@ let decode_request line =
       in
       let session_open_params () =
         let d = default_session_open_params in
-        let graph_given =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> false
-          | Some _ -> true
-        in
-        let graph =
-          match Json.member "graph" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_graph ~add:add_problem v
-        in
+        let graph_given, graph = graph_param () in
         let res_add, res_mult =
           match Json.member "resources" params with
           | None | Some Json.Null -> (None, None)
@@ -911,19 +900,8 @@ let decode_request line =
             so_res_mult = res_mult;
           }
         in
-        if graph_given then begin
-          if p.so_bench <> "" then
-            problem
-              "parameters \"bench\" and \"graph\" are mutually exclusive"
-        end
-        else if p.so_bench = "" then
-          problem "parameter \"bench\" or \"graph\" is required";
-        if not (p.so_binder = "hlpower" || p.so_binder = "lopass") then
-          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
-        check_alpha p.so_alpha;
-        if p.so_width > max_width then
-          problem "parameter \"width\" must be within 1..%d (got %d)"
-            max_width p.so_width;
+        check_design ~graph_given ~bench:p.so_bench ~binder:p.so_binder
+          ~alpha:p.so_alpha ~width:p.so_width;
         if p.so_k > max_session_k then
           problem "parameter \"k\" must be within 1..%d (got %d)"
             max_session_k p.so_k;

@@ -1,20 +1,20 @@
-(** The [hlpowerd] daemon loop.
+(** The [hlpowerd] worker daemon: a {!Service} role that runs requests
+    through a {!Router} (which holds the warm SA tables and the
+    sessions) on the worker domains of a {!Scheduler}.
 
-    One process owns: the listening sockets (a Unix-domain socket,
-    optionally a loopback TCP port), one connection-handler thread per
-    client, a {!Scheduler} whose worker domains execute requests, and a
-    {!Router} holding the warm SA tables.  Lifecycle:
+    {!Service} owns the sockets, the connection threads and the drain
+    sequence; this module supplies the dispatch and the drain hook.
+    Lifecycle:
 
-    + {!create} binds and listens (and ignores [SIGPIPE] — a client that
-      disconnects mid-reply must not kill the daemon);
+    + {!create} binds and listens;
     + {!run} accepts until {!shutdown} is triggered — by a direct call
       or by [SIGTERM]/[SIGINT] once {!install_signal_handlers} has been
       called;
     + drain: admission stops ([draining] replies), every request
       admitted before the signal runs to completion and its reply is
-      written (zero dropped replies), the SA tables are flushed to their
-      disk cache, telemetry is written ([HLP_TELEMETRY]), and {!run}
-      returns.
+      written (zero dropped replies), open sessions are closed, the SA
+      tables are flushed to their disk cache, telemetry is written
+      ([HLP_TELEMETRY]), and {!run} returns.
 
     Deadlines: a request's [deadline_ms] (or the server's default)
     starts at {e receipt}.  Expiry is checked when a worker picks the
@@ -42,7 +42,8 @@ val default_config : config
 type t
 
 (** [create ~config ()] binds the sockets.  @raise Unix.Unix_error when
-    binding fails (e.g. the socket path is taken by a live daemon). *)
+    binding fails ([EADDRINUSE] when a live daemon holds the socket
+    path). *)
 val create : ?config:config -> unit -> t
 
 val config : t -> config

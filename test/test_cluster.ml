@@ -13,7 +13,7 @@ module Client = Hlp_server.Client
 module Metrics = Hlp_server.Metrics
 module Prometheus = Hlp_util.Prometheus
 module Head = Hlp_cluster.Head
-module Forwarder = Hlp_cluster.Forwarder
+
 
 let check = Alcotest.(check bool)
 let check_s = Alcotest.(check string)
@@ -57,30 +57,48 @@ let stop_worker w =
     try Unix.unlink w.w_socket with Unix.Unix_error _ -> ()
   end
 
-(* Start [n] workers and a head over them; run [f]; tear everything
-   down.  fail_threshold 1 so a single forced health round (or one
-   failed forward) marks a dead shard out. *)
-let with_cluster ?(n = 2) ?metrics_port f =
-  let workers = List.init n (fun i -> start_worker (Printf.sprintf "w%d" i)) in
-  let head_socket = fresh_socket "head" in
+(* A head over [workers] on [socket_path]; [stop] (idempotent) shuts it
+   down and waits for [Head.run] to return.  fail_threshold 1 so a
+   single forced health round (or one failed forward) marks a dead
+   shard out. *)
+let start_head ?metrics_port ?(max_frame = P.default_max_frame) ~socket_path
+    workers =
   let config =
     {
       Head.default_config with
-      Head.socket_path = head_socket;
+      Head.socket_path;
       backends =
-        List.map (fun w -> (w.w_name, Forwarder.Unix_path w.w_socket)) workers;
+        List.map (fun w -> (w.w_name, Client.Addr.Unix_path w.w_socket)) workers;
       fail_threshold = 1;
       retry_backoff_ms = 5;
       forward_timeout_s = Some 10.;
       metrics_port;
+      max_frame;
     }
   in
   let head = Head.create ~config () in
   let runner = Thread.create (fun () -> Head.run head) () in
+  let stopped = ref false in
+  let stop () =
+    if not !stopped then begin
+      stopped := true;
+      Head.shutdown head;
+      Thread.join runner
+    end
+  in
+  (head, stop)
+
+(* Start [n] workers and a head over them; run [f]; tear everything
+   down. *)
+let with_cluster ?(n = 2) ?metrics_port f =
+  let workers = List.init n (fun i -> start_worker (Printf.sprintf "w%d" i)) in
+  let head_socket = fresh_socket "head" in
+  let head, stop_head =
+    start_head ?metrics_port ~socket_path:head_socket workers
+  in
   Fun.protect
     ~finally:(fun () ->
-      Head.shutdown head;
-      Thread.join runner;
+      stop_head ();
       List.iter stop_worker workers;
       try Unix.unlink head_socket with Unix.Unix_error _ -> ())
     (fun () -> f ~head_socket ~head ~workers)
@@ -104,15 +122,13 @@ let bind_op ?(width = 8) () =
 
 (* One raw exchange over a fresh connection. *)
 let raw_request socket line =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Client.connect socket in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Client.close c)
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      P.write_frame fd line;
-      match P.read_frame (P.reader_of_fd fd) with
-      | `Frame line -> line
-      | `Too_large _ | `Eof -> Alcotest.fail "no reply frame")
+      match Client.exchange c line with
+      | Ok line -> line
+      | Error _ -> Alcotest.fail "no reply frame")
 
 (* --- relay byte-fidelity --- *)
 
@@ -442,27 +458,159 @@ let test_client_retry_daemon_down () =
           (* plain request on the reconnected client keeps working *)
           ignore (result_of (Client.request c (req 3 (P.Ping 0))))))
 
+let refused socket =
+  match Client.connect socket with
+  | c ->
+      Client.close c;
+      false
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+      true
+
 let test_head_drain_with_open_session () =
-  with_cluster ~n:2 (fun ~head_socket ~head ~workers:_ ->
+  let workers = List.init 2 (fun i -> start_worker (Printf.sprintf "w%d" i)) in
+  let head_socket = fresh_socket "head" in
+  let _head, stop_head = start_head ~socket_path:head_socket workers in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_head ();
+      List.iter stop_worker workers)
+    (fun () ->
       let sid = open_session head_socket ~width:4 in
       check "session opened" true (String.contains sid '/');
-      (* Shutdown with the session still open: drain must complete (the
-         Fun.protect teardown joins the runner) and new connections be
-         refused.  The assertion is that this returns at all. *)
-      Head.shutdown head;
-      Thread.delay 0.2;
-      check "head socket gone or refusing" true
-        (let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-         let refused =
-           try
-             Unix.connect fd (Unix.ADDR_UNIX head_socket);
-             (* accepted: head may still be mid-drain; either way the
-                listener closes before run returns, so give it a beat *)
-             false
-           with Unix.Unix_error _ -> true
-         in
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         refused || true))
+      (* Drain with the session still open: Head.run must return. *)
+      stop_head ();
+      check "head socket file removed" false (Sys.file_exists head_socket);
+      check "connect refused after drain" true (refused head_socket))
+
+(* --- the wire contract both roles get from the serving core --- *)
+
+(* A role serving on a socket path: [shutdown] starts the drain and
+   returns at once; [stop] shuts down, waits for the role's run to
+   return and releases whatever the role needed (the head's backend
+   worker).  Frames are capped at 4 KiB. *)
+type role = {
+  role : string;
+  start : string -> (unit -> unit) * (unit -> unit);
+}
+
+let small_frame = 4096
+
+let worker_role =
+  {
+    role = "worker";
+    start =
+      (fun socket_path ->
+        let config =
+          { Server.default_config with
+            Server.socket_path; workers = 1; max_frame = small_frame }
+        in
+        let server = Server.create ~config () in
+        let runner = Thread.create (fun () -> Server.run server) () in
+        let stopped = ref false in
+        ( (fun () -> Server.shutdown server),
+          fun () ->
+            if not !stopped then begin
+              stopped := true;
+              Server.shutdown server;
+              Thread.join runner
+            end ));
+  }
+
+let head_role =
+  {
+    role = "head";
+    start =
+      (fun socket_path ->
+        let w = start_worker "hw" in
+        match start_head ~max_frame:small_frame ~socket_path [ w ] with
+        | head, stop -> (
+            (fun () -> Head.shutdown head),
+            fun () ->
+              stop ();
+              stop_worker w )
+        | exception e ->
+            stop_worker w;
+            raise e);
+  }
+
+let with_role r f =
+  let socket = fresh_socket r.role in
+  let shutdown, stop = r.start socket in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    (fun () -> f socket shutdown)
+
+let with_client socket f =
+  let c = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+let test_oversized_frame r () =
+  with_role r (fun socket _ ->
+      with_client socket (fun c ->
+          Client.send_raw c (String.make (small_frame + 100) 'a');
+          let code, diags = error_of (Client.recv c) in
+          check "frame_too_large" true (code = P.Frame_too_large);
+          check "diagnosed S012" true (List.mem "S012" diags);
+          ignore (result_of (Client.request c (req 1 (P.Ping 0))))))
+
+let test_malformed_json r () =
+  with_role r (fun socket _ ->
+      with_client socket (fun c ->
+          Client.send_raw c "{\"id\": 1, \"op\": ";
+          let code, diags = error_of (Client.recv c) in
+          check "parse_error" true (code = P.Parse_error);
+          check "diagnosed S001" true (List.mem "S001" diags)))
+
+let test_socket_reclaim r () =
+  let socket = fresh_socket (r.role ^ "_stale") in
+  (* A socket file nobody accepts on: what a killed process leaves. *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX socket);
+  Unix.close fd;
+  check "stale socket file present" true (Sys.file_exists socket);
+  let _, stop = r.start socket in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_client socket (fun c ->
+          ignore (result_of (Client.request c (req 1 (P.Ping 0)))));
+      match r.start socket with
+      | _, stop2 ->
+          stop2 ();
+          Alcotest.fail "a second instance bound a live socket"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ())
+
+let test_draining_stats r () =
+  with_role r (fun socket shutdown ->
+      with_client socket (fun a ->
+          with_client socket (fun b ->
+              (* [a]'s slow ping keeps the drain open. *)
+              Client.send a (req 1 (P.Ping 600));
+              Thread.delay 0.15;
+              shutdown ();
+              Thread.delay 0.05;
+              let code, _ = error_of (Client.request b (req 2 (P.Ping 0))) in
+              check "new work refused as draining" true (code = P.Draining);
+              let st = result_of (Client.request b (req 3 P.Stats)) in
+              check "stats answers while draining" true
+                (Json.member "draining" st = Some (Json.Bool true));
+              ignore (result_of (Client.recv a)))))
+
+let role_cases r =
+  let case name f =
+    Alcotest.test_case (r.role ^ ": " ^ name) `Quick (f r)
+  in
+  [
+    case "oversized frame earns S012, connection survives"
+      test_oversized_frame;
+    case "malformed JSON earns S001" test_malformed_json;
+    case "stale socket reclaimed, live one EADDRINUSE" test_socket_reclaim;
+    case "draining refuses work, stats still answers" test_draining_stats;
+  ]
 
 let suite =
   [
@@ -490,3 +638,5 @@ let suite =
     Alcotest.test_case "head drains with an open session" `Quick
       test_head_drain_with_open_session;
   ]
+  @ role_cases worker_role
+  @ role_cases head_role

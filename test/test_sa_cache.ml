@@ -185,6 +185,36 @@ let test_concurrent_warmup_matches_sequential () =
         (Int64.equal (bits sa) (bits sa')))
     e e'
 
+(* Every writer sharing a cache path keeps its rows: two tables in this
+   process and a third in a child process each persist one entry, and a
+   fresh table loads all three.  A last-writer-wins persist would leave
+   only the child's row. *)
+let test_writers_merge () =
+  let dir = temp_dir "sa_cache_merge" in
+  let a = ST.create_persistent ~width:2 ~k:4 ~dir () in
+  let b = ST.create_persistent ~width:2 ~k:4 ~dir () in
+  ignore (ST.lookup a Cdfg.Add_sub ~left:1 ~right:2);
+  ignore (ST.lookup b Cdfg.Multiplier ~left:1 ~right:1);
+  ST.persist a;
+  ST.persist b;
+  let child =
+    Filename.concat (Filename.dirname Sys.executable_name) "sa_cache_writer.exe"
+  in
+  let pid =
+    Unix.create_process child [| child; dir |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "child writer failed");
+  let reload = ST.create_persistent ~width:2 ~k:4 ~dir () in
+  check_int "reload holds the union of three writers" 3
+    (ST.disk_entries reload);
+  List.iter
+    (fun (cls, l, r) -> ignore (ST.lookup reload cls ~left:l ~right:r))
+    [ (Cdfg.Add_sub, 1, 2); (Cdfg.Multiplier, 1, 1); (Cdfg.Add_sub, 2, 2) ];
+  check_int "every entry served from disk" 0 (ST.misses reload)
+
 let suite =
   [
     Alcotest.test_case "warm start serves every lookup from disk" `Quick
@@ -205,4 +235,6 @@ let suite =
       test_load_rejects_wrong_fingerprint;
     Alcotest.test_case "HLP_JOBS=4 warm-up persists sequential bits" `Quick
       test_concurrent_warmup_matches_sequential;
+    Alcotest.test_case "writers sharing a path merge their rows" `Quick
+      test_writers_merge;
   ]

@@ -86,15 +86,13 @@ let raw_result_of_frame line =
 
 (* One raw-frame exchange: send the request, return the reply frame. *)
 let raw_request socket req =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let c = Client.connect socket in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Client.close c)
     (fun () ->
-      Unix.connect fd (Unix.ADDR_UNIX socket);
-      P.write_frame fd (P.encode_request req);
-      match P.read_frame (P.reader_of_fd fd) with
-      | `Frame line -> line
-      | `Too_large _ | `Eof -> Alcotest.fail "no reply frame")
+      match Client.exchange c (P.encode_request req) with
+      | Ok line -> line
+      | Error _ -> Alcotest.fail "no reply frame")
 
 let flow_width = 8
 let flow_vectors = 30
