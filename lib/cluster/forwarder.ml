@@ -52,7 +52,9 @@ let request_raw ?timeout_s ?(retry_stale = true) t addr frame =
     | c -> (
         match attempt ?timeout_s c frame with
         | Ok line ->
-            push_idle t key c;
+            (* A bypassing dial is closed, not pooled: one per session
+               op would keep up to [max_idle] idle sockets per shard. *)
+            if retry_stale then push_idle t key c else Client.close c;
             Ok line
         | Error _ as e ->
             Client.close c;

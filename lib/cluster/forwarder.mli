@@ -24,7 +24,8 @@ val create : ?max_frame:int -> unit -> t
     failure.  Thread-safe.
 
     With [retry_stale:false] the idle pool is bypassed and the frame is
-    sent on a single fresh dial, never re-sent: use it for
+    sent on a single fresh dial, never re-sent, which is closed after
+    the reply rather than pooled: use it for
     non-idempotent frames (session ops), where a failed pooled attempt
     cannot be distinguished from a worker that already executed the
     frame.  The default retries once on a fresh dial after a pooled

@@ -18,18 +18,9 @@ type bind_params = {
 
 (* Defaults mirror the CLI bind command's option defaults. *)
 let default_bind_params =
-  {
-    bench = "";
-    binder = "hlpower";
-    alpha = 0.5;
-    width = 8;
-    vectors = 100;
-    port_assign = false;
-    engine = "auto";
-    estimator = "sim";
-    graph = None;
-    model = None;
-  }
+  { bench = ""; binder = "hlpower"; alpha = 0.5; width = 8; vectors = 100;
+    port_assign = false; engine = "auto"; estimator = "sim"; graph = None;
+    model = None }
 
 (* A float parameter the pipeline can actually compute with.  JSON
    cannot spell NaN, but it can spell [1e999] (parses to infinity) and
@@ -61,14 +52,8 @@ type explore_params = {
 (* Grid defaults mirror Hlp_hls.Explore.default_config; width/vectors
    mirror the CLI explore command. *)
 let default_explore_params =
-  {
-    ex_bench = "";
-    ex_width = 8;
-    ex_vectors = 100;
-    ex_adds = [ 1; 2; 4 ];
-    ex_mults = [ 1; 2; 4 ];
-    ex_alphas = [ 1.0; 0.5 ];
-  }
+  { ex_bench = ""; ex_width = 8; ex_vectors = 100; ex_adds = [ 1; 2; 4 ];
+    ex_mults = [ 1; 2; 4 ]; ex_alphas = [ 1.0; 0.5 ] }
 
 type lint_params = {
   lint_bench : string option;
@@ -111,16 +96,8 @@ type session_open_params = {
 }
 
 let default_session_open_params =
-  {
-    so_bench = "";
-    so_graph = None;
-    so_binder = "hlpower";
-    so_alpha = 0.5;
-    so_width = 8;
-    so_k = 4;
-    so_res_add = None;
-    so_res_mult = None;
-  }
+  { so_bench = ""; so_graph = None; so_binder = "hlpower"; so_alpha = 0.5;
+    so_width = 8; so_k = 4; so_res_add = None; so_res_mult = None }
 
 type session_edit_params = { se_session : string; se_delta : session_delta }
 type session_close_params = { sc_session : string }
@@ -137,18 +114,6 @@ type op =
   | Stats
   | Cluster_stats
 
-let op_name = function
-  | Ping _ -> "ping"
-  | Bind _ -> "bind"
-  | Flow _ -> "flow"
-  | Explore _ -> "explore"
-  | Lint _ -> "lint"
-  | Session_open _ -> "session_open"
-  | Session_edit _ -> "session_edit"
-  | Session_close _ -> "session_close"
-  | Stats -> "stats"
-  | Cluster_stats -> "cluster_stats"
-
 type request = { id : Json.t; deadline_ms : int option; op : op }
 
 type error_code =
@@ -162,28 +127,17 @@ type error_code =
   | Unavailable
   | Internal
 
-let error_code_to_string = function
-  | Parse_error -> "parse_error"
-  | Unknown_op -> "unknown_op"
-  | Bad_request -> "bad_request"
-  | Frame_too_large -> "frame_too_large"
-  | Overloaded -> "overloaded"
-  | Deadline_exceeded -> "deadline_exceeded"
-  | Draining -> "draining"
-  | Unavailable -> "unavailable"
-  | Internal -> "internal"
+let error_codes =
+  [ (Parse_error, "parse_error"); (Unknown_op, "unknown_op");
+    (Bad_request, "bad_request"); (Frame_too_large, "frame_too_large");
+    (Overloaded, "overloaded"); (Deadline_exceeded, "deadline_exceeded");
+    (Draining, "draining"); (Unavailable, "unavailable");
+    (Internal, "internal") ]
 
-let error_code_of_string = function
-  | "parse_error" -> Some Parse_error
-  | "unknown_op" -> Some Unknown_op
-  | "bad_request" -> Some Bad_request
-  | "frame_too_large" -> Some Frame_too_large
-  | "overloaded" -> Some Overloaded
-  | "deadline_exceeded" -> Some Deadline_exceeded
-  | "draining" -> Some Draining
-  | "unavailable" -> Some Unavailable
-  | "internal" -> Some Internal
-  | _ -> None
+let error_code_to_string c = List.assoc c error_codes
+
+let error_code_of_string s =
+  List.find_map (fun (c, n) -> if n = s then Some c else None) error_codes
 
 type payload =
   | Result of {
@@ -206,17 +160,33 @@ let error_reply ?(diagnostics = []) ~id code fmt =
       { reply_id = id; payload = Error { code; message; diagnostics } })
     fmt
 
-(* --- encoding --- *)
+(* --- diagnostics on the wire --- *)
+
+(* Wire kinds of the index-carrying locations; [Net] and [Design] are
+   the two that carry no index. *)
+let indexed_locs : (string * (int -> Diagnostic.loc)) list =
+  [ ("op", fun i -> Op i); ("fu", fun i -> Fu i); ("reg", fun i -> Reg i);
+    ("step", fun i -> Step i); ("node", fun i -> Node i);
+    ("line", fun i -> Line i) ]
 
 let json_of_loc : Diagnostic.loc -> Json.t = function
-  | Op i -> Obj [ ("kind", String "op"); ("index", Int i) ]
-  | Fu i -> Obj [ ("kind", String "fu"); ("index", Int i) ]
-  | Reg i -> Obj [ ("kind", String "reg"); ("index", Int i) ]
-  | Step i -> Obj [ ("kind", String "step"); ("index", Int i) ]
-  | Node i -> Obj [ ("kind", String "node"); ("index", Int i) ]
   | Net s -> Obj [ ("kind", String "net"); ("name", String s) ]
-  | Line i -> Obj [ ("kind", String "line"); ("index", Int i) ]
   | Design -> Obj [ ("kind", String "design") ]
+  | (Op i | Fu i | Reg i | Step i | Node i | Line i) as loc ->
+      let kind, _ = List.find (fun (_, mk) -> mk i = loc) indexed_locs in
+      Obj [ ("kind", String kind); ("index", Int i) ]
+
+let loc_of_json (v : Json.t) : Diagnostic.loc option =
+  match Option.bind (Json.member "kind" v) Json.to_string_opt with
+  | Some "net" ->
+      Option.map
+        (fun n -> Diagnostic.Net n)
+        (Option.bind (Json.member "name" v) Json.to_string_opt)
+  | Some "design" -> Some Diagnostic.Design
+  | Some kind ->
+      Option.bind (List.assoc_opt kind indexed_locs) (fun mk ->
+          Option.map mk (Option.bind (Json.member "index" v) Json.to_int))
+  | None -> None
 
 let json_of_diagnostic (d : Diagnostic.t) : Json.t =
   Obj
@@ -229,194 +199,245 @@ let json_of_diagnostic (d : Diagnostic.t) : Json.t =
       ("message", String d.message);
     ]
 
+(* --- request schema combinators --- *)
+
+(* A parameter record is declared once, as field specs in wire order;
+   [Schema.seal] derives its decoder, its encoder and a sampler of
+   valid values from that one declaration. *)
+module Schema = struct
+  type sink = Diagnostic.t -> unit
+  type 'a sample = Random.State.t -> 'a
+
+  let problem ?(code = "S003") (sink : sink) fmt =
+    Printf.ksprintf (fun m -> sink (Diagnostic.error code Design "%s" m)) fmt
+
+  (* [problem], then reject the value. *)
+  let reject ?code sink fmt =
+    Printf.ksprintf (fun m -> problem ?code sink "%s" m; None) fmt
+
+  let member name obj =
+    match Json.member name obj with None | Some Json.Null -> None | v -> v
+
+  let int_in lo hi rs = lo + Random.State.int rs (hi - lo + 1)
+  let one_of xs rs = List.nth xs (Random.State.int rs (List.length xs))
+  let option_of s rs = if Random.State.bool rs then Some (s rs) else None
+  let list_of ~max s rs = List.init (int_in 1 max rs) (fun _ -> s rs)
+
+  let printable ~min ~max rs =
+    String.init (int_in min max rs) (fun _ -> Char.chr (int_in 32 126 rs))
+
+  (* A JSON wire type; [of_json] is [None] for a value of another type. *)
+  type 'a ty = { of_json : Json.t -> 'a option; to_json : 'a -> Json.t }
+
+  let int = { of_json = Json.to_int; to_json = (fun i -> Json.Int i) }
+  let float = { of_json = Json.to_float; to_json = (fun f -> Json.Float f) }
+  let bool = { of_json = Json.to_bool; to_json = (fun b -> Json.Bool b) }
+  let string = { of_json = Json.to_string_opt; to_json = (fun s -> String s) }
+
+  (* [None] travels as [null]. *)
+  let nullable t =
+    { of_json = (fun v -> Option.map Option.some (t.of_json v));
+      to_json = (function None -> Json.Null | Some v -> t.to_json v) }
+
+  let nonempty_list t =
+    let all vs =
+      let xs = List.filter_map t.of_json vs in
+      if xs <> [] && List.length xs = List.length vs then Some xs else None
+    in
+    { of_json = (fun v -> Option.bind (Json.to_list v) all);
+      to_json = (fun xs -> Json.List (List.map t.to_json xs)) }
+
+  (* The check on a decoded value — canonicalize it, or report and
+     reject it — and a sampler of values that pass. *)
+  type 'a range = {
+    check : sink -> string -> 'a -> 'a option;
+    draw : 'a sample;
+  }
+
+  let any draw = { check = (fun _ _ v -> Some v); draw }
+
+  let positive ?(max = max_int) ?sample_max () =
+    let check sink name v =
+      if v <= 0 then reject sink "parameter %S must be positive" name
+      else if v > max then
+        reject sink "parameter %S must be within 1..%d (got %d)" name max v
+      else Some v
+    in
+    { check; draw = int_in 1 (Option.value sample_max ~default:(min max 64)) }
+
+  let fraction =
+    let check sink name a =
+      if not (usable_number a) then
+        reject ~code:"S009" sink
+          "parameter %S is not a usable number (infinite, NaN or subnormal)"
+          name
+      else if not (a >= 0. && a <= 1.) then
+        reject sink "parameter %S must be within [0, 1]" name
+      else Some a
+    in
+    { check; draw = (fun rs -> Random.State.float rs 1.0) }
+
+  let usable_each =
+    let check sink name xs =
+      List.iter
+        (fun x ->
+          if not (usable_number x) then
+            problem ~code:"S009" sink
+              "parameter %S contains a value that is not a usable number \
+               (infinite, NaN or subnormal)"
+              name)
+        xs;
+      Some xs
+    in
+    { check; draw = list_of ~max:3 fraction.draw }
+
+  (* [parse] maps a wire string, aliases included, to its canonical
+     name; the message lists the canonical [names]. *)
+  let enum ?parse names =
+    let parse =
+      Option.value parse ~default:(fun s ->
+          if List.mem s names then Some s else None)
+    in
+    let alternatives =
+      match List.rev_map (Printf.sprintf "%S") names with
+      | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+      | [] -> ""
+    in
+    let check sink name s =
+      match parse s with
+      | Some c -> Some c
+      | None -> reject sink "parameter %S must be %s" name alternatives
+    in
+    { check; draw = one_of names }
+
+  let required ?(max_len = max_int) draw =
+    let check sink name s =
+      if s = "" then reject sink "parameter %S is required" name
+      else if String.length s > max_len then
+        reject sink "parameter %S exceeds %d characters" name max_len
+      else Some s
+    in
+    { check; draw }
+
+  type ('r, 'a) field = {
+    name : string;
+    decode : sink -> Json.t option -> 'a;  (* [None]: absent or null *)
+    encode : 'a -> Json.t option;  (* [None]: omitted *)
+    sample : 'a sample;
+    get : 'r -> 'a;
+  }
+
+  (* Absent or null takes the default; a value of the wrong type is
+     reported and takes the default too; the range check then runs on
+     the resulting value. *)
+  let field name ty ~default range get =
+    let decode sink v =
+      let v =
+        match v with
+        | None -> default
+        | Some j -> (
+            match ty.of_json j with
+            | Some v -> v
+            | None ->
+                problem sink "parameter %S has an invalid value: %s" name
+                  (Json.to_string j);
+                default)
+      in
+      Option.value ~default (range.check sink name v)
+    in
+    let encode v = Some (ty.to_json v) in
+    { name; decode; encode; sample = range.draw; get }
+
+  (* A structured parameter whose hand-written [decode] reports its own
+     diagnostics; absent or null is [None], which is omitted. *)
+  let optional name ~decode ~encode ~sample get =
+    { name; decode = (fun sink v -> Option.bind v (decode sink));
+      encode = Option.map encode; sample = option_of sample; get }
+
+  (* A fully custom field: its decoder sees the absent case too. *)
+  let custom name ~decode ~encode ~sample get =
+    { name; decode; encode = (fun v -> Some (encode v)); sample; get }
+
+  (* Reports a non-object and every key outside [keys]. *)
+  let closed_object sink name ~keys = function
+    | Json.Obj kvs ->
+        List.iter
+          (fun (k, _) ->
+            if not (List.mem k keys) then
+              problem sink "unknown %s field %S" name k)
+          kvs;
+        true
+    | _ ->
+        problem sink "parameter %S must be an object" name;
+        false
+
+  (* A record under construction: the constructor ['k] still awaits
+     the fields not yet added.  Each [|+] decodes (and samples) the
+     earlier fields first, so diagnostics follow the declaration. *)
+  type ('r, 'k) fields = {
+    f_decode : sink -> Json.t -> 'k;
+    f_encode : ('r -> (string * Json.t) option) list;  (* reversed *)
+    f_sample : 'k sample;
+  }
+
+  let obj k =
+    { f_decode = (fun _ _ -> k); f_encode = []; f_sample = (fun _ -> k) }
+
+  let ( |+ ) b f =
+    let f_decode sink params =
+      let k = b.f_decode sink params in
+      k (f.decode sink (member f.name params))
+    in
+    let encode r = Option.map (fun v -> (f.name, v)) (f.encode (f.get r)) in
+    let f_sample rs =
+      let k = b.f_sample rs in
+      k (f.sample rs)
+    in
+    { f_decode; f_encode = encode :: b.f_encode; f_sample }
+
+  type 'r record = {
+    r_decode : sink -> Json.t -> 'r;
+    r_encode : 'r -> (string * Json.t) list;
+    r_sample : 'r sample;
+  }
+
+  (* [post params r] is the record's cross-field check, run once after
+     every field has decoded; it returns S003 messages.  Fields are
+     sampled independently, so the sampler redraws until it passes. *)
+  let seal ?(post = fun _ _ -> []) b =
+    let encoders = List.rev b.f_encode in
+    let r_encode r = List.filter_map (fun e -> e r) encoders in
+    let r_decode sink params =
+      let r = b.f_decode sink params in
+      List.iter (problem sink "%s") (post params r);
+      r
+    in
+    let rec r_sample rs =
+      let r = b.f_sample rs in
+      if post (Json.Obj (r_encode r)) r = [] then r else r_sample rs
+    in
+    { r_decode; r_encode; r_sample }
+end
+
+(* --- custom codecs: inline graph, power model, resources, delta --- *)
+
+let op_kinds = Cdfg.[ Add; Sub; Mult ]
+
+let kind_of_string s =
+  List.find_opt (fun k -> Cdfg.kind_to_string k = s) op_kinds
+
 let json_of_operand : Cdfg.operand -> Json.t = function
   | Cdfg.Input k -> Obj [ ("input", Int k) ]
   | Cdfg.Op j -> Obj [ ("op", Int j) ]
 
 let json_of_graph (g : Cdfg.t) : Json.t =
-  Obj
-    [
-      ("name", String (Cdfg.name g));
-      ("inputs", Int (Cdfg.num_inputs g));
-      ( "ops",
-        List
-          (Array.to_list
-             (Array.map
-                (fun (o : Cdfg.op) ->
-                  Json.Obj
-                    [
-                      ("kind", Json.String (Cdfg.kind_to_string o.kind));
-                      ("left", json_of_operand o.left);
-                      ("right", json_of_operand o.right);
-                    ])
-                (Cdfg.ops g))) );
-      ("outputs", List (List.map json_of_operand (Cdfg.outputs g)));
-    ]
-
-let json_of_model (m : Power.model) : Json.t =
-  Obj
-    [
-      ("vdd", Float m.vdd);
-      ("c_base_f", Float m.c_base_f);
-      ("c_fanout_f", Float m.c_fanout_f);
-      ("t_lut_ns", Float m.t_lut_ns);
-      ("t_route_ns", Float m.t_route_ns);
-      ("t_seq_ns", Float m.t_seq_ns);
-    ]
-
-let json_of_bind_params p : Json.t =
-  Json.Obj
-    ([
-       ("bench", Json.String p.bench);
-       ("binder", Json.String p.binder);
-       ("alpha", Json.Float p.alpha);
-       ("width", Json.Int p.width);
-       ("vectors", Json.Int p.vectors);
-       ("port_assign", Json.Bool p.port_assign);
-       ("engine", Json.String p.engine);
-       ("estimator", Json.String p.estimator);
-     ]
-    @ (match p.graph with
-      | None -> []
-      | Some g -> [ ("graph", json_of_graph g) ])
-    @
-    match p.model with
-    | None -> []
-    | Some m -> [ ("model", json_of_model m) ])
-
-let json_of_delta : session_delta -> Json.t = function
-  | D_add_op { d_kind; d_left; d_right; d_output } ->
-      Obj
-        [
-          ("kind", String "add_op");
-          ("op_kind", String (Cdfg.kind_to_string d_kind));
-          ("left", json_of_operand d_left);
-          ("right", json_of_operand d_right);
-          ("output", Bool d_output);
-        ]
-  | D_remove_op id -> Obj [ ("kind", String "remove_op"); ("id", Int id) ]
-  | D_set_resource (cls, n) ->
-      Obj
-        [
-          ("kind", String "set_resource");
-          ("class", String (Cdfg.class_to_string cls));
-          ("units", Int n);
-        ]
-  | D_set_alpha a -> Obj [ ("kind", String "set_alpha"); ("alpha", Float a) ]
-
-let json_of_session_open_params p : Json.t =
-  Json.Obj
-    ([
-       ("bench", Json.String p.so_bench);
-       ("binder", Json.String p.so_binder);
-       ("alpha", Json.Float p.so_alpha);
-       ("width", Json.Int p.so_width);
-       ("k", Json.Int p.so_k);
-     ]
-    @ (match p.so_graph with
-      | None -> []
-      | Some g -> [ ("graph", json_of_graph g) ])
-    @
-    match (p.so_res_add, p.so_res_mult) with
-    | None, None -> []
-    | a, m ->
-        let f name = function
-          | None -> []
-          | Some n -> [ (name, Json.Int n) ]
-        in
-        [ ("resources", Json.Obj (f "add" a @ f "mult" m)) ])
-
-let json_of_op op : (string * Json.t) list =
-  let params : Json.t option =
-    match op with
-    | Ping ms -> Some (Obj [ ("sleep_ms", Int ms) ])
-    | Bind p | Flow p -> Some (json_of_bind_params p)
-    | Session_open p -> Some (json_of_session_open_params p)
-    | Session_edit p ->
-        Some
-          (Obj
-             [
-               ("session", String p.se_session);
-               ("delta", json_of_delta p.se_delta);
-             ])
-    | Session_close p -> Some (Obj [ ("session", String p.sc_session) ])
-    | Explore p ->
-        Some
-          (Obj
-             [
-               ("bench", String p.ex_bench);
-               ("width", Int p.ex_width);
-               ("vectors", Int p.ex_vectors);
-               ("adds", List (List.map (fun i -> Json.Int i) p.ex_adds));
-               ("mults", List (List.map (fun i -> Json.Int i) p.ex_mults));
-               ("alphas", List (List.map (fun a -> Json.Float a) p.ex_alphas));
-             ])
-    | Lint p ->
-        Some
-          (Obj
-             [
-               ( "bench",
-                 match p.lint_bench with None -> Null | Some b -> String b );
-               ("binder", String p.lint_binder);
-               ("width", Int p.lint_width);
-             ])
-    | Stats | Cluster_stats -> None
+  let op (o : Cdfg.op) : Json.t =
+    Obj [ ("kind", String (Cdfg.kind_to_string o.kind));
+          ("left", json_of_operand o.left); ("right", json_of_operand o.right) ]
   in
-  ("op", Json.String (op_name op))
-  :: (match params with None -> [] | Some p -> [ ("params", p) ])
-
-let encode_request r =
-  Json.to_string
-    (Obj
-       ((match r.id with Json.Null -> [] | id -> [ ("id", id) ])
-       @ (match r.deadline_ms with
-         | None -> []
-         | Some ms -> [ ("deadline_ms", Json.Int ms) ])
-       @ json_of_op r.op))
-
-let encode_reply r =
-  let fields =
-    match r.payload with
-    | Result { op; result; telemetry; elapsed_ms } ->
-        [
-          ("status", Json.String "ok");
-          ("op", Json.String op);
-          ("result", result);
-          ( "telemetry",
-            Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) telemetry) );
-          ("elapsed_ms", Json.Float elapsed_ms);
-        ]
-    | Error { code; message; diagnostics } ->
-        [
-          ("status", Json.String "error");
-          ( "error",
-            Json.Obj
-              [
-                ("code", Json.String (error_code_to_string code));
-                ("message", Json.String message);
-                ( "diagnostics",
-                  Json.List (List.map json_of_diagnostic diagnostics) );
-              ] );
-        ]
-  in
-  Json.to_string
-    (Obj
-       ((match r.reply_id with Json.Null -> [] | id -> [ ("id", id) ])
-       @ fields))
-
-(* --- decoding --- *)
-
-(* Request validation collects one S00x diagnostic per offense instead
-   of dying on the first, mirroring how the lint subsystem reports. *)
-
-let excerpt line =
-  if String.length line <= 120 then line else String.sub line 0 117 ^ "..."
-
-type decode_error = {
-  err_code : error_code;
-  err_id : Json.t;
-  err_diagnostics : Diagnostic.t list;
-}
+  Obj [ ("name", String (Cdfg.name g)); ("inputs", Int (Cdfg.num_inputs g));
+        ("ops", List (Array.to_list (Array.map op (Cdfg.ops g))));
+        ("outputs", List (List.map json_of_operand (Cdfg.outputs g))) ]
 
 (* Inline-graph admission.  An untrusted graph is validated in three
    strictly ordered stages so that hostile input never reaches CDFG
@@ -429,13 +450,13 @@ type decode_error = {
    detected for free: ops are identified by list position and an operand
    may only name a {e smaller} op id, so any cycle necessarily contains
    a forward or self reference. *)
-let decode_graph ~add v =
+let decode_graph sink v =
   let ok = ref true in
   let bad code loc fmt =
     Printf.ksprintf
       (fun m ->
         ok := false;
-        add (Diagnostic.error code loc "%s" m))
+        sink (Diagnostic.error code loc "%s" m))
       fmt
   in
   match v with
@@ -537,16 +558,15 @@ let decode_graph ~add v =
                 match
                   Option.bind (Json.member "kind" ov) Json.to_string_opt
                 with
-                | Some "add" -> Some Cdfg.Add
-                | Some "sub" -> Some Cdfg.Sub
-                | Some "mult" -> Some Cdfg.Mult
-                | Some other ->
-                    bad "S003" loc
-                      "op kind %S is not \"add\", \"sub\" or \"mult\"" other;
-                    None
                 | None ->
                     bad "S003" loc "op is missing a string \"kind\" field";
                     None
+                | Some s ->
+                    let k = kind_of_string s in
+                    if k = None then
+                      bad "S003" loc
+                        "op kind %S is not \"add\", \"sub\" or \"mult\"" s;
+                    k
               in
               let field name =
                 match Json.member name ov with
@@ -555,7 +575,9 @@ let decode_graph ~add v =
                     bad "S003" loc "op is missing operand object %S" name;
                     None
               in
-              match (kind, field "left", field "right") with
+              let left = field "left" in
+              let right = field "right" in
+              match (kind, left, right) with
               | Some kind, Some left, Some right ->
                   Some { Cdfg.id = i; kind; left; right }
               | _ -> None)
@@ -586,6 +608,23 @@ let decode_graph ~add v =
       bad "S003" Design "parameter \"graph\" must be an object";
       None
 
+let sample_graph rs =
+  let open Schema in
+  let num_inputs = int_in 1 4 rs in
+  let operand bound rs =
+    if bound = 0 || Random.State.bool rs then
+      Cdfg.Input (int_in 0 (num_inputs - 1) rs)
+    else Cdfg.Op (int_in 0 (bound - 1) rs)
+  in
+  let op id =
+    let kind = one_of op_kinds rs in
+    let left = operand id rs in
+    { Cdfg.id; kind; left; right = operand id rs }
+  in
+  let ops = List.init (int_in 1 12 rs) op in
+  let outputs = list_of ~max:3 (operand (List.length ops)) rs in
+  Cdfg.create ~name:"random" ~num_inputs ~ops ~outputs
+
 (* Power-model override admission.  Every field is a physical constant
    the estimator divides by or accumulates over millions of events, so
    a hostile value (NaN via 1e999-0-style tricks is unspellable in
@@ -600,79 +639,434 @@ let decode_graph ~add v =
    unparseable JSON (found by hlp_fuzz).  The caps are orders of
    magnitude above any real silicon (100 V supply, 1 mF per net, 1 s
    per LUT level), so they bound every downstream product without
-   constraining legitimate calibration. *)
+   constraining legitimate calibration.  The table drives both decode
+   and encode, in this order. *)
 let model_fields =
-  [
-    ("vdd", (`Positive, 100.));
-    ("c_base_f", (`Positive, 1e-3));
-    ("c_fanout_f", (`Non_negative, 1e-3));
-    ("t_lut_ns", (`Non_negative, 1e9));
-    ("t_route_ns", (`Non_negative, 1e9));
-    ("t_seq_ns", (`Non_negative, 1e9));
-  ]
+  Power.
+    [
+      ("vdd", `Positive, 100., fun m -> m.vdd);
+      ("c_base_f", `Positive, 1e-3, fun m -> m.c_base_f);
+      ("c_fanout_f", `Non_negative, 1e-3, fun m -> m.c_fanout_f);
+      ("t_lut_ns", `Non_negative, 1e9, fun m -> m.t_lut_ns);
+      ("t_route_ns", `Non_negative, 1e9, fun m -> m.t_route_ns);
+      ("t_seq_ns", `Non_negative, 1e9, fun m -> m.t_seq_ns);
+    ]
 
-let decode_model ~add v =
-  match v with
-  | Json.Obj kvs ->
-      let ok = ref true in
-      let bad code fmt =
-        Printf.ksprintf
-          (fun m ->
-            ok := false;
-            add (Diagnostic.error code Diagnostic.Design "%s" m))
-          fmt
-      in
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem_assoc k model_fields) then
-            bad "S003" "unknown model field %S" k)
-        kvs;
-      let field name current =
-        let kind, ceiling = List.assoc name model_fields in
-        match Json.member name v with
-        | None | Some Json.Null -> current
-        | Some jv -> (
-            match Json.to_float jv with
-            | None ->
-                bad "S003" "model field %S must be a number" name;
-                current
-            | Some f ->
-                if not (usable_number f) then (
-                  bad "S011"
-                    "model field %S is not a usable number (infinite, NaN \
-                     or subnormal): %s"
-                    name (Json.to_string jv);
-                  current)
-                else if kind = `Positive && f <= 0. then (
-                  bad "S011" "model field %S must be strictly positive" name;
-                  current)
-                else if f < 0. then (
-                  bad "S011" "model field %S must be non-negative" name;
-                  current)
-                else if f > ceiling then (
-                  bad "S011"
-                    "model field %S is out of physical range (max %g)" name
-                    ceiling;
-                  current)
-                else f)
-      in
-      let d = Power.default_model in
-      let m =
-        {
-          Power.vdd = field "vdd" d.Power.vdd;
-          c_base_f = field "c_base_f" d.Power.c_base_f;
-          c_fanout_f = field "c_fanout_f" d.Power.c_fanout_f;
-          t_lut_ns = field "t_lut_ns" d.Power.t_lut_ns;
-          t_route_ns = field "t_route_ns" d.Power.t_route_ns;
-          t_seq_ns = field "t_seq_ns" d.Power.t_seq_ns;
-        }
-      in
-      if !ok then Some m else None
-  | _ ->
-      add
-        (Diagnostic.error "S003" Diagnostic.Design
-           "parameter \"model\" must be an object");
-      None
+let decode_model sink v =
+  let keys = List.map (fun (k, _, _, _) -> k) model_fields in
+  let ok = ref (Schema.closed_object sink "model" ~keys v) in
+  let bad code fmt =
+    Printf.ksprintf
+      (fun m ->
+        ok := false;
+        Schema.problem ~code sink "%s" m)
+      fmt
+  in
+  let field (name, kind, ceiling, get) =
+    let current = get Power.default_model in
+    match Schema.member name v with
+    | None -> current
+    | Some jv -> (
+        match Json.to_float jv with
+        | None ->
+            bad "S003" "model field %S must be a number" name;
+            current
+        | Some f ->
+            if not (usable_number f) then (
+              bad "S011"
+                "model field %S is not a usable number (infinite, NaN or \
+                 subnormal): %s"
+                name (Json.to_string jv);
+              current)
+            else if kind = `Positive && f <= 0. then (
+              bad "S011" "model field %S must be strictly positive" name;
+              current)
+            else if f < 0. then (
+              bad "S011" "model field %S must be non-negative" name;
+              current)
+            else if f > ceiling then (
+              bad "S011" "model field %S is out of physical range (max %g)"
+                name ceiling;
+              current)
+            else f)
+  in
+  if not !ok then None
+  else
+    match List.map field model_fields with
+    | [ vdd; c_base_f; c_fanout_f; t_lut_ns; t_route_ns; t_seq_ns ] when !ok ->
+        Some { Power.vdd; c_base_f; c_fanout_f; t_lut_ns; t_route_ns; t_seq_ns }
+    | _ -> None
+
+let json_of_model m =
+  let field (k, _, _, get) = (k, Json.Float (get m)) in
+  Json.Obj (List.map field model_fields)
+
+let sample_model rs =
+  let vdd = 0.8 +. Random.State.float rs 2.5 in
+  let c_base_f = 1e-16 +. Random.State.float rs 1e-13 in
+  { Power.default_model with Power.vdd; c_base_f }
+
+(* Session resource bounds: a closed object of optional positive unit
+   counts per FU class. *)
+let decode_resources sink v =
+  let units name =
+    match Schema.member name v with
+    | None -> None
+    | Some u -> (
+        match Json.to_int u with
+        | Some n when n >= 1 -> Some n
+        | _ ->
+            Schema.reject sink "resources field %S must be a positive integer"
+              name)
+  in
+  if not (Schema.closed_object sink "resources" ~keys:[ "add"; "mult" ] v)
+  then None
+  else
+    let add = units "add" in
+    Some (add, units "mult")
+
+let json_of_resources (add, mult) =
+  let f name = Option.map (fun n -> (name, Json.Int n)) in
+  Json.Obj (List.filter_map Fun.id [ f "add" add; f "mult" mult ])
+
+let sample_resources rs =
+  let add = Schema.(option_of (int_in 1 4)) rs in
+  (add, Schema.(option_of (int_in 1 4)) rs)
+
+let json_of_delta : session_delta -> Json.t = function
+  | D_add_op { d_kind; d_left; d_right; d_output } ->
+      Obj [ ("kind", String "add_op");
+            ("op_kind", String (Cdfg.kind_to_string d_kind));
+            ("left", json_of_operand d_left);
+            ("right", json_of_operand d_right);
+            ("output", Bool d_output) ]
+  | D_remove_op id -> Obj [ ("kind", String "remove_op"); ("id", Int id) ]
+  | D_set_resource (cls, n) ->
+      Obj [ ("kind", String "set_resource");
+            ("class", String (Cdfg.class_to_string cls)); ("units", Int n) ]
+  | D_set_alpha a -> Obj [ ("kind", String "set_alpha"); ("alpha", Float a) ]
+
+(* Delta shapes are validated here; references are checked against the
+   session's current graph by the router (S014), which this decoder
+   cannot see.  A rejected delta decodes to a placeholder that never
+   survives to execution: its diagnostic rejects the request. *)
+let decode_delta sink v =
+  let problem fmt = Schema.reject sink fmt in
+  let delta dv =
+    let str name = Option.bind (Json.member name dv) Json.to_string_opt in
+    let int name = Option.bind (Json.member name dv) Json.to_int in
+    let operand name =
+      match Json.member name dv with
+      | Some (Json.Obj _ as ov) -> (
+          match (Json.member "input" ov, Json.member "op" ov) with
+          | Some iv, None -> (
+              match Json.to_int iv with
+              | Some k when k >= 0 -> Some (Cdfg.Input k)
+              | _ ->
+                  problem
+                    "delta operand field \"input\" must be a non-negative \
+                     integer")
+          | None, Some jv -> (
+              match Json.to_int jv with
+              | Some j when j >= 0 -> Some (Cdfg.Op j)
+              | _ ->
+                  problem
+                    "delta operand field \"op\" must be a non-negative \
+                     integer")
+          | _ ->
+              problem
+                "delta operand must be exactly one of {\"input\": k} or \
+                 {\"op\": j}")
+      | _ -> problem "add_op delta is missing operand object %S" name
+    in
+    match str "kind" with
+    | Some "add_op" -> (
+        let kind =
+          match str "op_kind" with
+          | None -> problem "add_op delta is missing a string \"op_kind\" field"
+          | Some s when kind_of_string s = None ->
+              problem "delta op_kind %S is not \"add\", \"sub\" or \"mult\"" s
+          | Some s -> kind_of_string s
+        in
+        let left = operand "left" in
+        let right = operand "right" in
+        let output =
+          match Schema.member "output" dv with
+          | None -> Some false
+          | Some o when Json.to_bool o = None ->
+              problem "delta field \"output\" must be a boolean"
+          | Some o -> Json.to_bool o
+        in
+        match (kind, left, right, output) with
+        | Some d_kind, Some d_left, Some d_right, Some d_output ->
+            Some (D_add_op { d_kind; d_left; d_right; d_output })
+        | _ -> None)
+    | Some "remove_op" -> (
+        match int "id" with
+        | Some id when id >= 0 -> Some (D_remove_op id)
+        | _ -> problem "remove_op delta requires a non-negative integer \"id\"")
+    | Some "set_resource" -> (
+        let cls = str "class" in
+        match
+          ( List.find_opt
+              (fun c -> Some (Cdfg.class_to_string c) = cls)
+              Cdfg.all_classes,
+            int "units" )
+        with
+        | Some c, Some n when n >= 1 -> Some (D_set_resource (c, n))
+        | Some _, _ ->
+            problem "set_resource delta requires a positive integer \"units\""
+        | None, _ ->
+            problem
+              "set_resource delta requires \"class\" of \"add\" or \"mult\"")
+    | Some "set_alpha" -> (
+        match Option.bind (Json.member "alpha" dv) Json.to_float with
+        | Some a when not (usable_number a) ->
+            Schema.reject ~code:"S009" sink
+              "delta field \"alpha\" is not a usable number (infinite, NaN \
+               or subnormal)"
+        | Some a when a >= 0. && a <= 1. -> Some (D_set_alpha a)
+        | _ -> problem "set_alpha delta requires \"alpha\" within [0, 1]")
+    | Some other -> problem "unknown delta kind %S" other
+    | None -> problem "delta is missing a string \"kind\" field"
+  in
+  Option.value ~default:(D_remove_op 0)
+    (match v with
+    | None -> problem "parameter \"delta\" is required"
+    | Some (Json.Obj _ as dv) -> delta dv
+    | Some _ -> problem "parameter \"delta\" must be an object")
+
+let sample_delta rs =
+  let open Schema in
+  let operand rs =
+    if Random.State.bool rs then Cdfg.Input (int_in 0 7 rs)
+    else Cdfg.Op (int_in 0 63 rs)
+  in
+  match Random.State.int rs 4 with
+  | 0 ->
+      let d_kind = one_of op_kinds rs in
+      let d_left = operand rs in
+      let d_right = operand rs in
+      D_add_op { d_kind; d_left; d_right; d_output = Random.State.bool rs }
+  | 1 -> D_remove_op (int_in 0 63 rs)
+  | 2 ->
+      let cls = one_of Cdfg.all_classes rs in
+      D_set_resource (cls, int_in 1 4 rs)
+  | _ -> D_set_alpha (fraction.draw rs)
+
+(* --- the request schema: one field spec per parameter, in wire order --- *)
+
+(* Named benchmarks the sampler draws; "nope" exercises the router's
+   unknown-benchmark rejection. *)
+let bench_names = [ "pr"; "wang"; "honda"; "mcm"; "nope" ]
+
+(* [bind], [flow] and [session_open] name their design by exactly one
+   of a benchmark and an inline graph; a given but invalid graph still
+   counts as given. *)
+let design_check bench params =
+  match (Schema.member "graph" params, bench) with
+  | Some _, b when b <> "" ->
+      [ "parameters \"bench\" and \"graph\" are mutually exclusive" ]
+  | None, "" -> [ "parameter \"bench\" or \"graph\" is required" ]
+  | _ -> []
+
+let bench = Schema.(any (one_of ("" :: bench_names)))
+let binder = Schema.enum [ "hlpower"; "lopass" ]
+let width = Schema.positive ~max:max_width ()
+
+(* Explore and lint do not cap their width; only the sampler keeps to
+   the widths bind accepts. *)
+let any_width = Schema.positive ~sample_max:max_width ()
+
+let engine =
+  Schema.enum
+    ~parse:(fun s -> Option.map Sim.engine_name (Sim.engine_of_string s))
+    (List.map Sim.engine_name Sim.[ Auto; Scalar; Bit_parallel ])
+
+let estimator =
+  Schema.enum
+    ~parse:(fun s ->
+      Option.map Power.estimator_name (Power.estimator_of_string s))
+    (List.map Power.estimator_name [ `Sim; `Static; `Both ])
+
+let session_id =
+  Schema.(required ~max_len:max_session_id_len (printable ~min:1 ~max:12))
+
+let graph get =
+  Schema.optional "graph" ~decode:decode_graph ~encode:json_of_graph
+    ~sample:sample_graph get
+
+let bind_spec =
+  let d = default_bind_params in
+  Schema.(
+    obj (fun bench binder alpha width vectors port_assign engine estimator
+             graph model ->
+        { bench; binder; alpha; width; vectors; port_assign; engine;
+          estimator; graph; model })
+    |+ field "bench" string ~default:d.bench bench (fun p -> p.bench)
+    |+ field "binder" string ~default:d.binder binder (fun p -> p.binder)
+    |+ field "alpha" float ~default:d.alpha fraction (fun p -> p.alpha)
+    |+ field "width" int ~default:d.width width (fun p -> p.width)
+    |+ field "vectors" int ~default:d.vectors (positive ()) (fun p -> p.vectors)
+    |+ field "port_assign" bool ~default:d.port_assign (any Random.State.bool)
+         (fun p -> p.port_assign)
+    |+ field "engine" string ~default:d.engine engine (fun p -> p.engine)
+    |+ field "estimator" string ~default:d.estimator estimator (fun p ->
+           p.estimator)
+    |+ graph (fun p -> p.graph)
+    |+ optional "model" ~decode:decode_model ~encode:json_of_model
+         ~sample:sample_model (fun p -> p.model)
+    |> seal ~post:(fun params p -> design_check p.bench params))
+
+let explore_spec =
+  let d = default_explore_params in
+  let units = Schema.(any (list_of ~max:3 (int_in 1 4))) in
+  Schema.(
+    obj (fun ex_bench ex_width ex_vectors ex_adds ex_mults ex_alphas ->
+        { ex_bench; ex_width; ex_vectors; ex_adds; ex_mults; ex_alphas })
+    |+ field "bench" string ~default:d.ex_bench (required (one_of bench_names))
+         (fun p -> p.ex_bench)
+    |+ field "width" int ~default:d.ex_width any_width (fun p -> p.ex_width)
+    |+ field "vectors" int ~default:d.ex_vectors (positive ()) (fun p ->
+           p.ex_vectors)
+    |+ field "adds" (nonempty_list int) ~default:d.ex_adds units (fun p ->
+           p.ex_adds)
+    |+ field "mults" (nonempty_list int) ~default:d.ex_mults units (fun p ->
+           p.ex_mults)
+    |+ field "alphas" (nonempty_list float) ~default:d.ex_alphas usable_each
+         (fun p -> p.ex_alphas)
+    |> seal)
+
+let lint_spec =
+  let d = default_lint_params in
+  Schema.(
+    obj (fun lint_bench lint_binder lint_width ->
+        { lint_bench; lint_binder; lint_width })
+    |+ field "bench" (nullable string) ~default:d.lint_bench
+         (any (option_of (one_of bench_names))) (fun p -> p.lint_bench)
+    |+ field "binder" string ~default:d.lint_binder
+         (enum [ "hlpower"; "lopass"; "both" ]) (fun p -> p.lint_binder)
+    |+ field "width" int ~default:d.lint_width any_width (fun p -> p.lint_width)
+    |> seal)
+
+let session_open_spec =
+  let d = default_session_open_params in
+  Schema.(
+    obj (fun so_bench so_binder so_alpha so_width so_k so_graph res ->
+        let so_res_add, so_res_mult = Option.value res ~default:(None, None) in
+        { so_bench; so_graph; so_binder; so_alpha; so_width; so_k;
+          so_res_add; so_res_mult })
+    |+ field "bench" string ~default:d.so_bench bench (fun p -> p.so_bench)
+    |+ field "binder" string ~default:d.so_binder binder (fun p -> p.so_binder)
+    |+ field "alpha" float ~default:d.so_alpha fraction (fun p -> p.so_alpha)
+    |+ field "width" int ~default:d.so_width width (fun p -> p.so_width)
+    |+ field "k" int ~default:d.so_k (positive ~max:max_session_k ()) (fun p ->
+           p.so_k)
+    |+ graph (fun p -> p.so_graph)
+    |+ optional "resources" ~decode:decode_resources ~encode:json_of_resources
+         ~sample:sample_resources (fun p ->
+           match (p.so_res_add, p.so_res_mult) with
+           | None, None -> None
+           | r -> Some r)
+    |> seal ~post:(fun params p -> design_check p.so_bench params))
+
+let session_edit_spec =
+  Schema.(
+    obj (fun se_session se_delta -> { se_session; se_delta })
+    |+ field "session" string ~default:"" session_id (fun p -> p.se_session)
+    |+ custom "delta" ~decode:decode_delta ~encode:json_of_delta
+         ~sample:sample_delta (fun p -> p.se_delta)
+    |> seal)
+
+let session_close_spec =
+  Schema.(
+    obj (fun sc_session -> { sc_session })
+    |+ field "session" string ~default:"" session_id (fun p -> p.sc_session)
+    |> seal)
+
+(* A negative sleep is clamped to zero rather than rejected. *)
+let ping_spec =
+  let clamp = { Schema.check = (fun _ _ ms -> Some (max 0 ms));
+                draw = Schema.int_in 0 5 } in
+  Schema.(obj Fun.id |+ field "sleep_ms" int ~default:0 clamp Fun.id |> seal)
+
+let no_params = Schema.(seal (obj ()))
+
+(* One case per operation: its wire name, its parameter record, and the
+   constructor both ways.  The decoder, the encoder, [op_name] and the
+   sampler all dispatch through this table. *)
+type case =
+  | Case : {
+      name : string;
+      spec : 'p Schema.record;
+      inj : 'p -> op;
+      prj : op -> 'p option;
+    }
+      -> case
+
+let cases =
+  let case name spec inj prj = Case { name; spec; inj; prj } in
+  [ case "ping" ping_spec (fun x -> Ping x)
+      (function Ping x -> Some x | _ -> None);
+    case "bind" bind_spec (fun x -> Bind x)
+      (function Bind x -> Some x | _ -> None);
+    case "flow" bind_spec (fun x -> Flow x)
+      (function Flow x -> Some x | _ -> None);
+    case "explore" explore_spec (fun x -> Explore x)
+      (function Explore x -> Some x | _ -> None);
+    case "lint" lint_spec (fun x -> Lint x)
+      (function Lint x -> Some x | _ -> None);
+    case "session_open" session_open_spec (fun x -> Session_open x)
+      (function Session_open x -> Some x | _ -> None);
+    case "session_edit" session_edit_spec (fun x -> Session_edit x)
+      (function Session_edit x -> Some x | _ -> None);
+    case "session_close" session_close_spec (fun x -> Session_close x)
+      (function Session_close x -> Some x | _ -> None);
+    case "stats" no_params (fun () -> Stats)
+      (function Stats -> Some () | _ -> None);
+    case "cluster_stats" no_params (fun () -> Cluster_stats)
+      (function Cluster_stats -> Some () | _ -> None) ]
+
+let op_name op =
+  match List.find (fun (Case c) -> Option.is_some (c.prj op)) cases with
+  | Case c -> c.name
+
+(* --- requests --- *)
+
+let encode_request r =
+  let encode (Case c) =
+    Option.map (fun p -> (c.name, c.spec.r_encode p)) (c.prj r.op)
+  in
+  let name, params = Option.get (List.find_map encode cases) in
+  Json.to_string
+    (Obj
+       ((match r.id with Json.Null -> [] | id -> [ ("id", id) ])
+       @ (match r.deadline_ms with
+         | None -> []
+         | Some ms -> [ ("deadline_ms", Json.Int ms) ])
+       @ (("op", Json.String name)
+         :: (if params = [] then [] else [ ("params", Json.Obj params) ]))))
+
+let random_request rs =
+  let open Schema in
+  let op = match one_of cases rs with Case c -> c.inj (c.spec.r_sample rs) in
+  let deadline_ms = option_of (int_in 0 60_000) rs in
+  let id =
+    match Random.State.int rs 3 with
+    | 0 -> Json.Int (int_in 0 1_000_000 rs)
+    | 1 -> Json.String (printable ~min:0 ~max:12 rs)
+    | _ -> Json.Null
+  in
+  { id; deadline_ms; op }
+
+let excerpt line =
+  if String.length line <= 120 then line else String.sub line 0 117 ^ "..."
+
+type decode_error = {
+  err_code : error_code;
+  err_id : Json.t;
+  err_diagnostics : Diagnostic.t list;
+}
 
 (* [Json.member] silently returns the first binding of a duplicated
    key, so {"alpha":0.1,"alpha":99} would validate one value and — were
@@ -698,6 +1092,16 @@ let rec check_duplicate_keys ~add path (v : Json.t) =
         vs
   | _ -> ()
 
+let parse_error code fmt =
+  Printf.ksprintf
+    (fun m ->
+      let err_diagnostics = [ Diagnostic.error code (Line 1) "%s" m ] in
+      Stdlib.Error
+        { err_code = Parse_error; err_id = Json.Null; err_diagnostics })
+    fmt
+
+(* Request validation collects one S00x diagnostic per offense instead
+   of dying on the first, mirroring how the lint subsystem reports. *)
 let decode_request line =
   match Json.parse line with
   | Error (pos, msg) ->
@@ -705,472 +1109,82 @@ let decode_request line =
          rejection (S012), not a syntax error: the frame may be
          perfectly well-formed JSON, just hostile to a recursive
          reader. *)
-      let code = if Json.is_depth_error msg then "S012" else "S001" in
-      Stdlib.Error
-        {
-          err_code = Parse_error;
-          err_id = Json.Null;
-          err_diagnostics =
-            [
-              Diagnostic.error code (Line 1)
-                "malformed frame (byte %d: %s): %s" pos msg (excerpt line);
-            ];
-        }
+      parse_error
+        (if Json.is_depth_error msg then "S012" else "S001")
+        "malformed frame (byte %d: %s): %s" pos msg (excerpt line)
   | Ok ((Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
         | Json.String _ | Json.List _ | Json.Raw _) as json) ->
-      Stdlib.Error
-        {
-          err_code = Parse_error;
-          err_id = Json.Null;
-          err_diagnostics =
-            [
-              Diagnostic.error "S001" (Line 1)
-                "frame is not a JSON object: %s"
-                (excerpt (Json.to_string json));
-            ];
-        }
+      parse_error "S001" "frame is not a JSON object: %s"
+        (excerpt (Json.to_string json))
   | Ok (Json.Obj _ as json) -> (
       let problems = ref [] in
-      let add_problem diag = problems := diag :: !problems in
-      let problem fmt =
+      let sink d = problems := d :: !problems in
+      let unknown_op fmt =
         Printf.ksprintf
-          (fun m ->
-            problems :=
-              Diagnostic.error "S003" Design "%s" m :: !problems)
+          (fun m -> problems := [ Diagnostic.error "S002" Design "%s" m ])
           fmt
       in
-      check_duplicate_keys ~add:add_problem "request" json;
+      check_duplicate_keys ~add:sink "request" json;
       let id = Option.value ~default:Json.Null (Json.member "id" json) in
       let params =
         Option.value ~default:(Json.Obj []) (Json.member "params" json)
       in
-      let field name conv ~default =
-        match Json.member name params with
-        | None | Some Json.Null -> default
-        | Some v -> (
-            match conv v with
-            | Some v -> v
-            | None ->
-                problem "parameter %S has an invalid value: %s" name
-                  (Json.to_string v);
-                default)
-      in
-      let pos_int name ~default =
-        let v = field name Json.to_int ~default in
-        if v > 0 then v
-        else (
-          problem "parameter %S must be positive" name;
-          default)
-      in
-      let check_alpha a =
-        if not (usable_number a) then
-          add_problem
-            (Diagnostic.error "S009" Design
-               "parameter \"alpha\" is not a usable number (infinite, NaN \
-                or subnormal)")
-        else if not (a >= 0. && a <= 1.) then
-          problem "parameter \"alpha\" must be within [0, 1]"
-      in
-      (* Whether a "graph" was given, and its decoding ([None] when
-         absent or invalid). *)
-      let graph_param () =
-        match Json.member "graph" params with
-        | None | Some Json.Null -> (false, None)
-        | Some v -> (true, decode_graph ~add:add_problem v)
-      in
-      (* The checks [bind]/[flow] and [session_open] share, in this
-         order: bench/graph exclusivity, binder, alpha, width cap. *)
-      let check_design ~graph_given ~bench ~binder ~alpha ~width =
-        if graph_given then begin
-          if bench <> "" then
-            problem
-              "parameters \"bench\" and \"graph\" are mutually exclusive"
-        end
-        else if bench = "" then
-          problem "parameter \"bench\" or \"graph\" is required";
-        if not (binder = "hlpower" || binder = "lopass") then
-          problem "parameter \"binder\" must be \"hlpower\" or \"lopass\"";
-        check_alpha alpha;
-        if width > max_width then
-          problem "parameter \"width\" must be within 1..%d (got %d)"
-            max_width width
-      in
-      let bind_params () =
-        let d = default_bind_params in
-        let graph_given, graph = graph_param () in
-        let model =
-          match Json.member "model" params with
-          | None | Some Json.Null -> None
-          | Some v -> decode_model ~add:add_problem v
-        in
-        let engine =
-          let s = field "engine" Json.to_string_opt ~default:d.engine in
-          match Sim.engine_of_string s with
-          | Some e -> Sim.engine_name e
-          | None ->
-              problem
-                "parameter \"engine\" must be \"auto\", \"scalar\" or \
-                 \"parallel\"";
-              d.engine
-        in
-        let estimator =
-          let s = field "estimator" Json.to_string_opt ~default:d.estimator in
-          match Hlp_rtl.Power.estimator_of_string s with
-          | Some e -> Hlp_rtl.Power.estimator_name e
-          | None ->
-              problem
-                "parameter \"estimator\" must be \"sim\", \"static\" or \
-                 \"both\"";
-              d.estimator
-        in
-        let p =
-          {
-            bench = field "bench" Json.to_string_opt ~default:d.bench;
-            binder = field "binder" Json.to_string_opt ~default:d.binder;
-            alpha = field "alpha" Json.to_float ~default:d.alpha;
-            width = pos_int "width" ~default:d.width;
-            vectors = pos_int "vectors" ~default:d.vectors;
-            port_assign = field "port_assign" Json.to_bool ~default:false;
-            engine;
-            estimator;
-            graph;
-            model;
-          }
-        in
-        check_design ~graph_given ~bench:p.bench ~binder:p.binder
-          ~alpha:p.alpha ~width:p.width;
-        p
-      in
-      let int_list name ~default =
-        field name
-          (fun v ->
-            Option.bind (Json.to_list v) (fun vs ->
-                let is = List.filter_map Json.to_int vs in
-                if List.length is = List.length vs && is <> [] then Some is
-                else None))
-          ~default
-      in
-      let session_id () =
-        let s = field "session" Json.to_string_opt ~default:"" in
-        if s = "" then problem "parameter \"session\" is required"
-        else if String.length s > max_session_id_len then
-          problem "parameter \"session\" exceeds %d characters"
-            max_session_id_len;
-        s
-      in
-      let session_open_params () =
-        let d = default_session_open_params in
-        let graph_given, graph = graph_param () in
-        let res_add, res_mult =
-          match Json.member "resources" params with
-          | None | Some Json.Null -> (None, None)
-          | Some (Json.Obj kvs as r) ->
-              List.iter
-                (fun (k, _) ->
-                  if k <> "add" && k <> "mult" then
-                    problem "unknown resources field %S" k)
-                kvs;
-              let f name =
-                match Json.member name r with
-                | None | Some Json.Null -> None
-                | Some v -> (
-                    match Json.to_int v with
-                    | Some n when n >= 1 -> Some n
-                    | _ ->
-                        problem
-                          "resources field %S must be a positive integer"
-                          name;
-                        None)
-              in
-              (f "add", f "mult")
-          | Some _ ->
-              problem "parameter \"resources\" must be an object";
-              (None, None)
-        in
-        let p =
-          {
-            so_bench = field "bench" Json.to_string_opt ~default:d.so_bench;
-            so_binder =
-              field "binder" Json.to_string_opt ~default:d.so_binder;
-            so_alpha = field "alpha" Json.to_float ~default:d.so_alpha;
-            so_width = pos_int "width" ~default:d.so_width;
-            so_k = pos_int "k" ~default:d.so_k;
-            so_graph = graph;
-            so_res_add = res_add;
-            so_res_mult = res_mult;
-          }
-        in
-        check_design ~graph_given ~bench:p.so_bench ~binder:p.so_binder
-          ~alpha:p.so_alpha ~width:p.so_width;
-        if p.so_k > max_session_k then
-          problem "parameter \"k\" must be within 1..%d (got %d)"
-            max_session_k p.so_k;
-        p
-      in
-      (* Delta shapes are validated here; references are checked against
-         the session's current graph by the router (S014), which this
-         decoder cannot see. *)
-      let session_delta () =
-        match Json.member "delta" params with
-        | None | Some Json.Null ->
-            problem "parameter \"delta\" is required";
-            None
-        | Some (Json.Obj _ as dv) -> (
-            let operand name =
-              match Json.member name dv with
-              | Some (Json.Obj _ as ov) -> (
-                  match (Json.member "input" ov, Json.member "op" ov) with
-                  | Some iv, None -> (
-                      match Json.to_int iv with
-                      | Some k when k >= 0 -> Some (Cdfg.Input k)
-                      | _ ->
-                          problem
-                            "delta operand field \"input\" must be a \
-                             non-negative integer";
-                          None)
-                  | None, Some jv -> (
-                      match Json.to_int jv with
-                      | Some j when j >= 0 -> Some (Cdfg.Op j)
-                      | _ ->
-                          problem
-                            "delta operand field \"op\" must be a \
-                             non-negative integer";
-                          None)
-                  | _ ->
-                      problem
-                        "delta operand must be exactly one of {\"input\": \
-                         k} or {\"op\": j}";
-                      None)
-              | _ ->
-                  problem "add_op delta is missing operand object %S" name;
-                  None
-            in
-            match Option.bind (Json.member "kind" dv) Json.to_string_opt with
-            | Some "add_op" -> (
-                let kind =
-                  match
-                    Option.bind (Json.member "op_kind" dv) Json.to_string_opt
-                  with
-                  | Some "add" -> Some Cdfg.Add
-                  | Some "sub" -> Some Cdfg.Sub
-                  | Some "mult" -> Some Cdfg.Mult
-                  | Some other ->
-                      problem
-                        "delta op_kind %S is not \"add\", \"sub\" or \
-                         \"mult\""
-                        other;
-                      None
-                  | None ->
-                      problem
-                        "add_op delta is missing a string \"op_kind\" field";
-                      None
-                in
-                let output =
-                  match Json.member "output" dv with
-                  | None | Some Json.Null -> false
-                  | Some v -> (
-                      match Json.to_bool v with
-                      | Some b -> b
-                      | None ->
-                          problem
-                            "delta field \"output\" must be a boolean";
-                          false)
-                in
-                match (kind, operand "left", operand "right") with
-                | Some k, Some l, Some r ->
-                    Some
-                      (D_add_op
-                         {
-                           d_kind = k;
-                           d_left = l;
-                           d_right = r;
-                           d_output = output;
-                         })
-                | _ -> None)
-            | Some "remove_op" -> (
-                match Option.bind (Json.member "id" dv) Json.to_int with
-                | Some id when id >= 0 -> Some (D_remove_op id)
-                | _ ->
-                    problem
-                      "remove_op delta requires a non-negative integer \
-                       \"id\"";
-                    None)
-            | Some "set_resource" -> (
-                let cls =
-                  match
-                    Option.bind (Json.member "class" dv) Json.to_string_opt
-                  with
-                  | Some "add" -> Some Cdfg.Add_sub
-                  | Some "mult" -> Some Cdfg.Multiplier
-                  | _ ->
-                      problem
-                        "set_resource delta requires \"class\" of \"add\" \
-                         or \"mult\"";
-                      None
-                in
-                match (cls, Option.bind (Json.member "units" dv) Json.to_int)
-                with
-                | Some c, Some n when n >= 1 -> Some (D_set_resource (c, n))
-                | Some _, _ ->
-                    problem
-                      "set_resource delta requires a positive integer \
-                       \"units\"";
-                    None
-                | None, _ -> None)
-            | Some "set_alpha" -> (
-                match Option.bind (Json.member "alpha" dv) Json.to_float with
-                | Some a when usable_number a && a >= 0. && a <= 1. ->
-                    Some (D_set_alpha a)
-                | Some a when not (usable_number a) ->
-                    add_problem
-                      (Diagnostic.error "S009" Design
-                         "delta field \"alpha\" is not a usable number \
-                          (infinite, NaN or subnormal)");
-                    None
-                | _ ->
-                    problem
-                      "set_alpha delta requires \"alpha\" within [0, 1]";
-                    None)
-            | Some other ->
-                problem "unknown delta kind %S" other;
-                None
-            | None ->
-                problem "delta is missing a string \"kind\" field";
-                None)
-        | Some _ ->
-            problem "parameter \"delta\" must be an object";
-            None
-      in
       let op =
         match Json.member "op" json with
-        | Some (Json.String "ping") ->
-            Some (Ping (max 0 (field "sleep_ms" Json.to_int ~default:0)))
-        | Some (Json.String "bind") -> Some (Bind (bind_params ()))
-        | Some (Json.String "flow") -> Some (Flow (bind_params ()))
-        | Some (Json.String "explore") ->
-            let d = default_explore_params in
-            let p =
-              {
-                ex_bench = field "bench" Json.to_string_opt ~default:"";
-                ex_width = pos_int "width" ~default:d.ex_width;
-                ex_vectors = pos_int "vectors" ~default:d.ex_vectors;
-                ex_adds = int_list "adds" ~default:d.ex_adds;
-                ex_mults = int_list "mults" ~default:d.ex_mults;
-                ex_alphas =
-                  field "alphas"
-                    (fun v ->
-                      Option.bind (Json.to_list v) (fun vs ->
-                          let fs = List.filter_map Json.to_float vs in
-                          if List.length fs = List.length vs && fs <> []
-                          then Some fs
-                          else None))
-                    ~default:d.ex_alphas;
-              }
-            in
-            if p.ex_bench = "" then problem "parameter \"bench\" is required";
-            List.iter
-              (fun a ->
-                if not (usable_number a) then
-                  add_problem
-                    (Diagnostic.error "S009" Design
-                       "parameter \"alphas\" contains a value that is not a \
-                        usable number (infinite, NaN or subnormal)"))
-              p.ex_alphas;
-            Some (Explore p)
-        | Some (Json.String "lint") ->
-            let d = default_lint_params in
-            let p =
-              {
-                lint_bench =
-                  field "bench"
-                    (fun v -> Option.map Option.some (Json.to_string_opt v))
-                    ~default:None;
-                lint_binder =
-                  field "binder" Json.to_string_opt ~default:d.lint_binder;
-                lint_width = pos_int "width" ~default:d.lint_width;
-              }
-            in
-            if
-              not
-                (List.mem p.lint_binder [ "hlpower"; "lopass"; "both" ])
-            then
-              problem
-                "parameter \"binder\" must be \"hlpower\", \"lopass\" or \
-                 \"both\"";
-            Some (Lint p)
-        | Some (Json.String "session_open") ->
-            Some (Session_open (session_open_params ()))
-        | Some (Json.String "session_edit") ->
-            let se_session = session_id () in
-            let se_delta =
-              (* [None] always comes with a recorded problem, so the
-                 placeholder below never survives to execution — the
-                 request is rejected as [Bad_request]. *)
-              Option.value ~default:(D_remove_op 0) (session_delta ())
-            in
-            Some (Session_edit { se_session; se_delta })
-        | Some (Json.String "session_close") ->
-            Some (Session_close { sc_session = session_id () })
-        | Some (Json.String "stats") -> Some Stats
-        | Some (Json.String "cluster_stats") -> Some Cluster_stats
-        | Some (Json.String other) ->
-            problems :=
-              [ Diagnostic.error "S002" Design "unknown op %S" other ];
-            None
+        | Some (Json.String name) -> (
+            match List.find_opt (fun (Case c) -> c.name = name) cases with
+            | Some (Case c) -> Some (c.inj (c.spec.r_decode sink params))
+            | None ->
+                unknown_op "unknown op %S" name;
+                None)
         | Some _ | None ->
-            problems :=
-              [
-                Diagnostic.error "S002" Design
-                  "missing or non-string \"op\" field";
-              ];
+            unknown_op "missing or non-string \"op\" field";
             None
       in
       let deadline_ms =
-        match Json.member "deadline_ms" json with
-        | None | Some Json.Null -> None
+        match Schema.member "deadline_ms" json with
+        | None -> None
         | Some v -> (
             match Json.to_int v with
             | Some ms when ms >= 0 -> Some ms
             | _ ->
-                problem "field \"deadline_ms\" must be a non-negative integer";
-                None)
+                Schema.reject sink
+                  "field \"deadline_ms\" must be a non-negative integer")
       in
-      match (op, !problems) with
-      | Some op, [] -> Ok { id; deadline_ms; op }
-      | None, ds ->
-          Stdlib.Error
-            {
-              err_code = Unknown_op;
-              err_id = id;
-              err_diagnostics = List.rev ds;
-            }
-      | Some _, ds ->
-          Stdlib.Error
-            {
-              err_code = Bad_request;
-              err_id = id;
-              err_diagnostics = List.rev ds;
-            })
+      let reject err_code =
+        Stdlib.Error
+          { err_code; err_id = id; err_diagnostics = List.rev !problems }
+      in
+      match op with
+      | Some op when !problems = [] -> Ok { id; deadline_ms; op }
+      | Some _ -> reject Bad_request
+      | None -> reject Unknown_op)
 
-let loc_of_json (v : Json.t) : Diagnostic.loc option =
-  let index () = Option.bind (Json.member "index" v) Json.to_int in
-  match Option.bind (Json.member "kind" v) Json.to_string_opt with
-  | Some "op" -> Option.map (fun i -> Diagnostic.Op i) (index ())
-  | Some "fu" -> Option.map (fun i -> Diagnostic.Fu i) (index ())
-  | Some "reg" -> Option.map (fun i -> Diagnostic.Reg i) (index ())
-  | Some "step" -> Option.map (fun i -> Diagnostic.Step i) (index ())
-  | Some "node" -> Option.map (fun i -> Diagnostic.Node i) (index ())
-  | Some "line" -> Option.map (fun i -> Diagnostic.Line i) (index ())
-  | Some "net" ->
-      Option.map
-        (fun n -> Diagnostic.Net n)
-        (Option.bind (Json.member "name" v) Json.to_string_opt)
-  | Some "design" -> Some Diagnostic.Design
-  | _ -> None
+(* --- replies --- *)
+
+let encode_reply r =
+  let fields : (string * Json.t) list =
+    match r.payload with
+    | Result { op; result; telemetry; elapsed_ms } ->
+        let telemetry = List.map (fun (k, v) -> (k, Json.Int v)) telemetry in
+        [ ("status", String "ok"); ("op", String op); ("result", result);
+          ("telemetry", Obj telemetry); ("elapsed_ms", Float elapsed_ms) ]
+    | Error { code; message; diagnostics } ->
+        let diagnostics = List.map json_of_diagnostic diagnostics in
+        [ ("status", String "error");
+          ( "error",
+            Obj [ ("code", String (error_code_to_string code));
+                  ("message", String message);
+                  ("diagnostics", List diagnostics) ] ) ]
+  in
+  let id = match r.reply_id with Json.Null -> [] | id -> [ ("id", id) ] in
+  Json.to_string (Obj (id @ fields))
+
+let str name v = Option.bind (Json.member name v) Json.to_string_opt
+let counter (k, v) = Option.map (fun i -> (k, i)) (Json.to_int v)
 
 let diagnostic_of_json (v : Json.t) : Diagnostic.t option =
-  let str name = Option.bind (Json.member name v) Json.to_string_opt in
-  match (str "code", str "severity", str "message") with
+  match (str "code" v, str "severity" v, str "message" v) with
   | Some code, Some sev, Some message ->
       let severity =
         if sev = "warning" then Diagnostic.Warning else Diagnostic.Error
@@ -1187,39 +1201,28 @@ let decode_reply line =
   | Error (pos, msg) -> Stdlib.Error (Printf.sprintf "byte %d: %s" pos msg)
   | Ok json -> (
       let reply_id = Option.value ~default:Json.Null (Json.member "id" json) in
-      match Option.bind (Json.member "status" json) Json.to_string_opt with
+      let reply payload = Ok { reply_id; payload } in
+      match str "status" json with
       | Some "ok" -> (
-          match
-            ( Option.bind (Json.member "op" json) Json.to_string_opt,
-              Json.member "result" json )
-          with
+          match (str "op" json, Json.member "result" json) with
           | Some op, Some result ->
               let telemetry =
                 match Json.member "telemetry" json with
-                | Some (Json.Obj kvs) ->
-                    List.filter_map
-                      (fun (k, v) ->
-                        Option.map (fun i -> (k, i)) (Json.to_int v))
-                      kvs
+                | Some (Json.Obj kvs) -> List.filter_map counter kvs
                 | _ -> []
               in
               let elapsed_ms =
                 Option.value ~default:0.
                   (Option.bind (Json.member "elapsed_ms" json) Json.to_float)
               in
-              Ok
-                {
-                  reply_id;
-                  payload = Result { op; result; telemetry; elapsed_ms };
-                }
+              reply (Result { op; result; telemetry; elapsed_ms })
           | _ -> Stdlib.Error "ok reply missing \"op\" or \"result\"")
       | Some "error" -> (
           match Json.member "error" json with
+          | None -> Stdlib.Error "error reply missing \"error\" object"
           | Some err -> (
-              let str name =
-                Option.bind (Json.member name err) Json.to_string_opt
-              in
-              match Option.bind (str "code") error_code_of_string with
+              match Option.bind (str "code" err) error_code_of_string with
+              | None -> Stdlib.Error "error reply carries an unknown \"code\""
               | Some code ->
                   let diagnostics =
                     match Json.member "diagnostics" err with
@@ -1227,20 +1230,8 @@ let decode_reply line =
                         List.filter_map diagnostic_of_json ds
                     | _ -> []
                   in
-                  Ok
-                    {
-                      reply_id;
-                      payload =
-                        Error
-                          {
-                            code;
-                            message = Option.value ~default:"" (str "message");
-                            diagnostics;
-                          };
-                    }
-              | None ->
-                  Stdlib.Error "error reply carries an unknown \"code\"")
-          | None -> Stdlib.Error "error reply missing \"error\" object")
+                  let message = Option.value ~default:"" (str "message" err) in
+                  reply (Error { code; message; diagnostics })))
       | _ -> Stdlib.Error "reply missing \"status\"")
 
 (* --- framing --- *)
@@ -1316,22 +1307,21 @@ let read_frame r =
   in
   loop ()
 
-(* [Unix.write] raises EINTR instead of retrying; a SIGTERM landing
+(* Writes [line] and its terminator, counting progress in [written].
+   [Unix.write] raises EINTR instead of retrying; a SIGTERM landing
    mid-drain used to abort a frame halfway through the loop.  Retrying
    EINTR here means a signal can no longer tear a frame on its own —
    only a real write error can. *)
-let rec write_chunk fd data off len =
-  match Unix.write fd data off len with
-  | n -> n
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_chunk fd data off len
-
-let write_frame fd line =
+let write_all ?(written = ref 0) fd line =
   let data = Bytes.of_string (line ^ "\n") in
   let len = Bytes.length data in
-  let written = ref 0 in
   while !written < len do
-    written := !written + write_chunk fd data !written (len - !written)
+    match Unix.write fd data !written (len - !written) with
+    | n -> written := !written + n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+let write_frame fd line = write_all fd line
 
 type writer = {
   wfd : Unix.file_descr;
@@ -1354,15 +1344,9 @@ let write_framed w line =
   Mutex.lock w.wmu;
   let result =
     if w.poisoned then `Dropped
-    else begin
-      let data = Bytes.of_string (line ^ "\n") in
-      let len = Bytes.length data in
+    else
       let written = ref 0 in
-      match
-        while !written < len do
-          written := !written + write_chunk w.wfd data !written (len - !written)
-        done
-      with
+      match write_all ~written w.wfd line with
       | () -> `Ok
       | exception Unix.Unix_error _ ->
           if !written = 0 then `Error
@@ -1372,7 +1356,6 @@ let write_framed w line =
              with Unix.Unix_error _ -> ());
             `Poisoned
           end
-    end
   in
   Mutex.unlock w.wmu;
   result

@@ -114,7 +114,45 @@
     a resource bound below the schedule's density); S015 — the session
     table is full.  S016 reports an SA-calibration failure (e.g. a K<2
     library cannot map the (2,2) calibration datapath) for any op that
-    runs the hlpower binder. *)
+    runs the hlpower binder.
+
+    {2 The request schema}
+
+    Each operation's parameters are one declarative record spec in
+    [protocol.ml], built with its [Schema] combinators: one line per
+    parameter, in wire order, naming its wire name, JSON type, default,
+    range or enum (which carries the S-code and message; an enum maps
+    aliases such as ["bit-parallel"] to the canonical name), and the
+    record field.  A ten-row table maps each op name to its spec and
+    constructor.  The decoder, the encoder, {!op_name} and
+    {!random_request} are all derived from those specs, so adding a
+    parameter is one spec line plus the record field it fills:
+
+    {v
+    |+ field "vectors" int ~default:d.vectors (positive ()) (fun p -> p.vectors)
+    v}
+
+    A field's decoding follows one rule: absent or [null] takes the
+    default; a value of the wrong JSON type is reported as [parameter
+    "x" has an invalid value: ...] and takes the default; the range
+    check then runs on the resulting value.  After the fields, one
+    cross-field check per record runs (bench/graph exclusivity).
+    Structured parameters plug hand-written codecs into the same specs:
+    the inline [graph] (S007 sizes, then S003/S008 per element, then
+    [Cdfg.create]), the power [model] (S011 ceilings), the session
+    [resources] and the [delta] union.  [model] and [resources] are
+    closed objects (unknown keys are S003); unknown top-level [params]
+    keys are ignored.
+
+    {2 Diagnostic order}
+
+    A rejected frame lists its diagnostics in this order: duplicate
+    keys (S010) anywhere in the frame; then the operation's parameters
+    in the spec's wire order, each field's own diagnostics (a
+    structured parameter's in its own field order); then the record's
+    cross-field check (bench/graph exclusivity); then [deadline_ms].
+    An unknown or missing [op] (S002) replaces every diagnostic before
+    it. *)
 
 module Diagnostic = Hlp_lint.Diagnostic
 
@@ -297,6 +335,12 @@ val error_reply :
     terminator; {!write_frame} appends it. *)
 
 val encode_request : request -> string
+
+(** [random_request rs] draws a request that {!decode_request} accepts,
+    over all ten operations, from the same field specs the codec uses:
+    [decode_request (encode_request r) = Ok r].  The fuzzer and the
+    round-trip property share it. *)
+val random_request : Random.State.t -> request
 
 (** A rejected request: the code, the echoed [id] (recovered from the
     frame when it parsed at all, [Null] otherwise), and one diagnostic

@@ -205,6 +205,45 @@ let test_session_stickiness () =
                       (req 3 (P.Session_close { P.sc_session = sid })))))
             sids))
 
+(* --- forwarder pooling --- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A non-idempotent forward rides its own dial and must not leave that
+   socket in the idle pool: pooling one per session op grew the head's
+   fd count by [max_idle] per shard. *)
+let test_bypass_not_pooled () =
+  let w = start_worker "fwd" in
+  Fun.protect
+    ~finally:(fun () -> stop_worker w)
+    (fun () ->
+      let fwd = Hlp_cluster.Forwarder.create () in
+      let addr = Client.Addr.Unix_path w.w_socket in
+      let ping = P.encode_request (req 1 (P.Ping 0)) in
+      let forward ~retry_stale =
+        match Hlp_cluster.Forwarder.request_raw ~retry_stale fwd addr ping with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "forward failed: %s" msg
+      in
+      forward ~retry_stale:true;
+      let before = open_fds () in
+      for _ = 1 to 20 do
+        forward ~retry_stale:false
+      done;
+      (* The worker closes its end once it reads EOF; give it a moment. *)
+      let rec settle n =
+        let now = open_fds () in
+        if now <= before + 1 || n = 0 then now
+        else (
+          Thread.delay 0.05;
+          settle (n - 1))
+      in
+      let after = settle 40 in
+      Hlp_cluster.Forwarder.close_all fwd;
+      check
+        (Printf.sprintf "fds %d -> %d after 20 bypassing forwards" before after)
+        true (after <= before + 1))
+
 (* --- failover and the S017/S018 diagnostics --- *)
 
 let test_failover_idempotent () =
@@ -617,6 +656,8 @@ let suite =
     Alcotest.test_case "relay is byte-faithful" `Quick test_relay_bytes;
     Alcotest.test_case "sessions stick to their shard" `Quick
       test_session_stickiness;
+    Alcotest.test_case "bypassing forwards are not pooled" `Quick
+      test_bypass_not_pooled;
     Alcotest.test_case "idempotent requests fail over" `Quick
       test_failover_idempotent;
     Alcotest.test_case "dead shard mid-session earns S017" `Quick

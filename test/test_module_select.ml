@@ -1,6 +1,5 @@
 module Nl = Hlp_netlist.Netlist
 module Cl = Hlp_netlist.Cell_library
-module Verilog = Hlp_netlist.Verilog
 module Cdfg = Hlp_cdfg.Cdfg
 module Schedule = Hlp_cdfg.Schedule
 module Lifetime = Hlp_cdfg.Lifetime

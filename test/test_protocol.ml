@@ -891,6 +891,216 @@ let test_session_decode_errors () =
     "{\"id\": 1, \"op\": \"session_edit\", \"params\": {\"session\": \
      \"s-1\", \"delta\": {\"kind\": \"remove_op\", \"id\": -1}}}"
 
+(* --- golden decode table: one hostile frame per diagnostic site --- *)
+
+(* Each frame carries a single offense, and the expected bytes are the
+   full [encode_reply] of the daemon's rejection, pinned before the
+   decoder was rebuilt on the declarative request schema. *)
+
+let nest n = String.make n '[' ^ String.make n ']'
+let many n s = String.concat ", " (List.init n (fun _ -> s))
+
+let golden_decode =
+  [
+    ( {|{"op": "ping", |},
+      {|{"status": "error", "error": {"code": "parse_error", "message": "invalid request frame", "diagnostics": [{"code": "S001", "severity": "error", "loc": {"kind": "line", "index": 1}, "message": "malformed frame (byte 15: expected '\"', found end of input): {\"op\": \"ping\", "}]}}|} );
+    ( {|{"id": 1, "op": "ping", "params": |} ^ nest (Json.default_max_depth + 8) ^ "}",
+      {|{"status": "error", "error": {"code": "parse_error", "message": "invalid request frame", "diagnostics": [{"code": "S012", "severity": "error", "loc": {"kind": "line", "index": 1}, "message": "malformed frame (byte 545: nesting deeper than the limit allows): {\"id\": 1, \"op\": \"ping\", \"params\": [[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[..."}]}}|} );
+    ( {|[1, 2, 3]|},
+      {|{"status": "error", "error": {"code": "parse_error", "message": "invalid request frame", "diagnostics": [{"code": "S001", "severity": "error", "loc": {"kind": "line", "index": 1}, "message": "frame is not a JSON object: [1, 2, 3]"}]}}|} );
+    ( {|{"id": 1, "op": "stats", "id": 2}|},
+      {|{"id": 1, "status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S010", "severity": "error", "loc": {"kind": "design"}, "message": "duplicate key \"id\" in request"}]}}|} );
+    ( {|{"id": 2, "op": "frobnicate"}|},
+      {|{"id": 2, "status": "error", "error": {"code": "unknown_op", "message": "invalid request frame", "diagnostics": [{"code": "S002", "severity": "error", "loc": {"kind": "design"}, "message": "unknown op \"frobnicate\""}]}}|} );
+    ( {|{"id": 3}|},
+      {|{"id": 3, "status": "error", "error": {"code": "unknown_op", "message": "invalid request frame", "diagnostics": [{"code": "S002", "severity": "error", "loc": {"kind": "design"}, "message": "missing or non-string \"op\" field"}]}}|} );
+    ( {|{"id": 4, "op": "stats", "deadline_ms": -5}|},
+      {|{"id": 4, "status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "field \"deadline_ms\" must be a non-negative integer"}]}}|} );
+    ( {|{"id": 5, "op": "ping", "params": {"sleep_ms": "long"}}|},
+      {|{"id": 5, "status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"sleep_ms\" has an invalid value: \"long\""}]}}|} );
+    ( {|{"op": "bind", "params": {"bench": "pr", "width": "wide"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"width\" has an invalid value: \"wide\""}]}}|} );
+    ( {|{"op": "bind", "params": {"bench": "pr", "vectors": 0}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"vectors\" must be positive"}]}}|} );
+    ( {|{"op": "bind", "params": {"bench": "pr", "alpha": 1e999}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S009", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"alpha\" is not a usable number (infinite, NaN or subnormal)"}]}}|} );
+    ( {|{"op": "bind", "params": {"bench": "pr", "alpha": 7.5}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"alpha\" must be within [0, 1]"}]}}|} );
+    ( {|{"op": "bind", "params": {"bench": "pr", "port_assign": "yes"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"port_assign\" has an invalid value: \"yes\""}]}}|} );
+    ( {|{"op": "flow", "params": {}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"bench\" or \"graph\" is required"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "binder": "greedy"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"binder\" must be \"hlpower\" or \"lopass\""}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "width": 64}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"width\" must be within 1..30 (got 64)"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "engine": "quantum"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"engine\" must be \"auto\", \"scalar\" or \"parallel\""}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "estimator": "guess"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"estimator\" must be \"sim\", \"static\" or \"both\""}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameters \"bench\" and \"graph\" are mutually exclusive"}]}}|} );
+    ( {|{"op": "explore", "params": {"adds": [1, 2]}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"bench\" is required"}]}}|} );
+    ( {|{"op": "explore", "params": {"bench": "pr", "alphas": [0.5, 1e999]}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S009", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"alphas\" contains a value that is not a usable number (infinite, NaN or subnormal)"}]}}|} );
+    ( {|{"op": "explore", "params": {"bench": "pr", "mults": []}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"mults\" has an invalid value: []"}]}}|} );
+    ( {|{"op": "explore", "params": {"bench": "pr", "alphas": ["x"]}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"alphas\" has an invalid value: [\"x\"]"}]}}|} );
+    ( {|{"op": "lint", "params": {"binder": "all"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"binder\" must be \"hlpower\", \"lopass\" or \"both\""}]}}|} );
+    ( {|{"op": "lint", "params": {"bench": 7}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"bench\" has an invalid value: 7"}]}}|} );
+    ( {|{"op": "session_open", "params": {}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"bench\" or \"graph\" is required"}]}}|} );
+    ( {|{"op": "session_open", "params": {"bench": "pr", "k": 9}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"k\" must be within 1..8 (got 9)"}]}}|} );
+    ( {|{"op": "session_open", "params": {"bench": "pr", "k": 0}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"k\" must be positive"}]}}|} );
+    ( {|{"op": "session_open", "params": {"bench": "pr", "resources": {"add": 2, "div": 1}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "unknown resources field \"div\""}]}}|} );
+    ( {|{"op": "session_open", "params": {"bench": "pr", "resources": {"mult": 0}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "resources field \"mult\" must be a positive integer"}]}}|} );
+    ( {|{"op": "session_open", "params": {"bench": "pr", "resources": 5}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"resources\" must be an object"}]}}|} );
+    ( {|{"op": "session_close", "params": {}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"session\" is required"}]}}|} );
+    ( {|{"op": "session_close", "params": {"session": "|} ^ String.make (P.max_session_id_len + 1) 's' ^ {|"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"session\" exceeds 64 characters"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1"}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"delta\" is required"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": 5}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"delta\" must be an object"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta is missing a string \"kind\" field"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "frobnicate"}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "unknown delta kind \"frobnicate\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "div", "left": {"input": 0}, "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta op_kind \"div\" is not \"add\", \"sub\" or \"mult\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "left": {"input": 0}, "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "add_op delta is missing a string \"op_kind\" field"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "add", "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "add_op delta is missing operand object \"left\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "add", "left": {"input": -1}, "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta operand field \"input\" must be a non-negative integer"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "add", "left": {"op": "x"}, "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta operand field \"op\" must be a non-negative integer"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "add", "left": {"input": 0, "op": 1}, "right": {"input": 0}}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta operand must be exactly one of {\"input\": k} or {\"op\": j}"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "add_op", "op_kind": "add", "left": {"input": 0}, "right": {"input": 0}, "output": "yes"}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "delta field \"output\" must be a boolean"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "remove_op", "id": -1}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "remove_op delta requires a non-negative integer \"id\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "set_resource", "class": "div", "units": 2}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "set_resource delta requires \"class\" of \"add\" or \"mult\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "set_resource", "class": "mult", "units": 0}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "set_resource delta requires a positive integer \"units\""}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "set_alpha", "alpha": 1e999}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S009", "severity": "error", "loc": {"kind": "design"}, "message": "delta field \"alpha\" is not a usable number (infinite, NaN or subnormal)"}]}}|} );
+    ( {|{"op": "session_edit", "params": {"session": "s-1", "delta": {"kind": "set_alpha", "alpha": 1.5}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "set_alpha delta requires \"alpha\" within [0, 1]"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": 5}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"graph\" must be an object"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 300, "ops": [], "outputs": []}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S007", "severity": "error", "loc": {"kind": "design"}, "message": "inline graph declares 300 inputs; the limit is 256"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": -1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "graph field \"inputs\" must be non-negative"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": "two", "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "graph field \"inputs\" must be a non-negative integer"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": 5, "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "graph field \"ops\" must be a list"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "graph field \"outputs\" must be a list"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [|} ^ many (P.max_graph_ops + 1) {|{"x": 0}|} ^ {|], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S007", "severity": "error", "loc": {"kind": "design"}, "message": "inline graph has 4097 ops; the limit is 4096"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [|} ^ many (P.max_graph_outputs + 1) {|{"op": 0}|} ^ "]}}}",
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S007", "severity": "error", "loc": {"kind": "design"}, "message": "inline graph has 257 outputs; the limit is 256"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [], "outputs": [{"input": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "inline graph must contain at least one op"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": []}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "inline graph must name at least one output"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 2, "ops": [{"kind": "add", "left": {"input": 5}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S008", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand reads input 5, but the graph declares 2 inputs"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 2, "ops": [{"kind": "add", "left": {"input": "a"}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand field \"input\" must be an integer"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"op": 1}, "right": {"input": 0}}, {"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 1}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S008", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand reads op 1 before it is defined — ops must be in dependency order, so cyclic graphs are rejected here"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"op": 7}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S008", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand reads op 7, but the graph has 1 ops"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"op": "a"}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand field \"op\" must be an integer"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "operand must be exactly one of {\"input\": k} or {\"op\": j}"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "div", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "op kind \"div\" is not \"add\", \"sub\" or \"mult\""}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "op is missing a string \"kind\" field"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}}], "outputs": [{"op": 0}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "op", "index": 0}, "message": "op is missing operand object \"right\""}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [5]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "graph output must be an operand object"}]}}|} );
+    ( {|{"op": "bind", "params": {"graph": {"inputs": 1, "ops": [{"kind": "add", "left": {"input": 0}, "right": {"input": 0}}], "outputs": [{"op": 3}]}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S008", "severity": "error", "loc": {"kind": "design"}, "message": "operand reads op 3, but the graph has 1 ops"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": [1.2]}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"model\" must be an object"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"frequency_ghz": 3.2}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "unknown model field \"frequency_ghz\""}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"vdd": "high"}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "model field \"vdd\" must be a number"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"vdd": 1e999}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S011", "severity": "error", "loc": {"kind": "design"}, "message": "model field \"vdd\" is not a usable number (infinite, NaN or subnormal): null"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"c_base_f": 0}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S011", "severity": "error", "loc": {"kind": "design"}, "message": "model field \"c_base_f\" must be strictly positive"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"t_lut_ns": -0.5}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S011", "severity": "error", "loc": {"kind": "design"}, "message": "model field \"t_lut_ns\" must be non-negative"}]}}|} );
+    ( {|{"op": "flow", "params": {"bench": "pr", "model": {"vdd": 1e308}}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S011", "severity": "error", "loc": {"kind": "design"}, "message": "model field \"vdd\" is out of physical range (max 100)"}]}}|} );
+  ]
+
+let rejection_reply frame =
+  match P.decode_request frame with
+  | Ok _ -> "accepted"
+  | Error e ->
+      P.encode_reply
+        (P.error_reply ~diagnostics:e.P.err_diagnostics ~id:e.P.err_id
+           e.P.err_code "invalid request frame")
+
+let test_golden_decode () =
+  List.iter
+    (fun (frame, expected) ->
+      let label =
+        if String.length frame <= 100 then frame
+        else String.sub frame 0 97 ^ "..."
+      in
+      check_s label expected (rejection_reply frame))
+    golden_decode
+
+(* --- spec-derived random requests --- *)
+
+let arb_request =
+  QCheck2.Gen.make_primitive ~gen:P.random_request ~shrink:(fun _ ->
+      Seq.empty)
+
+let prop_random_roundtrip =
+  QCheck2.Test.make ~count:2000 ~name:"random requests round trip"
+    ~print:P.encode_request arb_request (fun r ->
+      P.decode_request (P.encode_request r) = Ok r)
+
+let test_random_covers_every_op () =
+  let rs = Random.State.make [| 7 |] in
+  let seen =
+    List.sort_uniq compare
+      (List.init 500 (fun _ -> P.op_name (P.random_request rs).P.op))
+  in
+  Alcotest.(check (list string))
+    "every op drawn"
+    [
+      "bind"; "cluster_stats"; "explore"; "flow"; "lint"; "ping";
+      "session_close"; "session_edit"; "session_open"; "stats";
+    ]
+    seen
+
 let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
@@ -949,4 +1159,8 @@ let suite =
       test_session_roundtrip;
     Alcotest.test_case "session decode errors" `Quick
       test_session_decode_errors;
+    Alcotest.test_case "golden decode replies" `Quick test_golden_decode;
+    Alcotest.test_case "random requests cover every op" `Quick
+      test_random_covers_every_op;
+    QCheck_alcotest.to_alcotest prop_random_roundtrip;
   ]

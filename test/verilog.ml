@@ -1,3 +1,8 @@
+(* Test-only: the module-selection tests emit and lint Verilog. *)
+
+module Netlist = Hlp_netlist.Netlist
+module Truth_table = Hlp_netlist.Truth_table
+
 let sanitize s =
   let ok c =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
