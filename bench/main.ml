@@ -99,7 +99,7 @@ type prepared = {
    table-fill mapper invocations entirely. *)
 let sa_table = ST.create_default ~width ~k:4 ()
 
-let now () = Unix.gettimeofday ()
+let now () = Hlp_util.Clock.monotonic ()
 
 (* Wall-clock columns are real measurements unless HLP_STABLE asks for
    byte-stable output (e.g. the CI determinism diff). *)
@@ -856,7 +856,7 @@ let session_rows =
   lazy
     (let module P = Hlp_server.Protocol in
      let module R = Hlp_server.Router in
-     let module J = Hlp_server.Json in
+     let module J = Hlp_util.Json in
      let router = R.create () in
      let ck _ = () in
      List.map
@@ -1011,7 +1011,7 @@ let cluster_rps op n =
 let cluster_section () =
   if cluster_enabled then begin
     let module P = Hlp_server.Protocol in
-    let module J = Hlp_server.Json in
+    let module J = Hlp_util.Json in
     let module S = Hlp_server.Server in
     let module C = Hlp_server.Client in
     let module Head = Hlp_cluster.Head in
@@ -1184,226 +1184,186 @@ let cluster_section () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable benchmark report (HLP_BENCH_JSON=path).  Metric
-   floats are printed with %.17g so a warm-cache run is textually equal
-   to a cold one iff its Sec. 6 metrics are bit-identical; wall-clock
-   fields go through shown_seconds, so HLP_STABLE zeroes them. *)
-
-let jf x = Printf.sprintf "%.17g" x
-let jt x = Telemetry.json_float (shown_seconds x)
+(* Machine-readable benchmark report (HLP_BENCH_JSON=path).  Json prints
+   metric floats with %.17g, so a warm-cache run is textually equal to a
+   cold one iff its Sec. 6 metrics are bit-identical; wall-clock fields
+   go through [seconds] (shown_seconds), so HLP_STABLE zeroes them. *)
 
 let bench_json ~total_seconds path =
-  let buf = Buffer.create 16384 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add (Printf.sprintf "  \"schema\": \"hlp-bench-v1\",\n");
-  add
-    (Printf.sprintf
-       "  \"meta\": {\"width\": %d, \"vectors\": %d, \"variants\": %d, \
-        \"fast\": %b, \"stable\": %b, \"jobs\": %d, \"sim_engine\": \
-        \"%s\", \"sa_cache\": %s, \"lib_fingerprint\": \"%s\"},\n"
-       width vectors variants fast stable (Pool.jobs ())
-       (Hlp_rtl.Sim.(engine_name (resolve_engine Auto)))
-       (match ST.cache_file sa_table with
-       | Some p -> Printf.sprintf "\"%s\"" (Telemetry.json_escape p)
-       | None -> "null")
-       (ST.fingerprint ()));
+  let open Hlp_util.Json in
+  let seconds x = Float (shown_seconds x) in
+  let rows f xs = List (List.map f xs) in
   (* Sec. 6 metrics: one entry per (benchmark, binder), averaged over
      the generated variants exactly as Tables 3 / Figure 3 print them. *)
-  add "  \"designs\": [";
-  let sep = ref "" in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (binder, (a : avg_report)) ->
-          add
-            (Printf.sprintf
-               "%s\n    {\"bench\": \"%s\", \"binder\": \"%s\", \
-                \"power_mw\": %s, \"clock_ns\": %s, \"luts\": %s, \
-                \"largest_mux\": %s, \"mux_length\": %s, \"toggle_mhz\": \
-                %s}"
-               !sep r.bench binder (jf a.power_mw) (jf a.clk_ns) (jf a.luts)
-               (jf a.largest) (jf a.mux_len) (jf a.toggle));
-          sep := ",")
-        [ ("lopass", r.lop); ("hlp-a1.0", r.a1); ("hlp-a0.5", r.a05) ])
-    (Lazy.force flow_rows);
-  add "\n  ],\n";
+  let flow = Lazy.force flow_rows in
+  let design r (binder, (a : avg_report)) =
+    Obj
+      [ ("bench", String r.bench); ("binder", String binder);
+        ("power_mw", Float a.power_mw); ("clock_ns", Float a.clk_ns);
+        ("luts", Float a.luts); ("largest_mux", Float a.largest);
+        ("mux_length", Float a.mux_len); ("toggle_mhz", Float a.toggle) ]
+  in
+  let designs =
+    List.concat_map
+      (fun r ->
+        List.map (design r)
+          [ ("lopass", r.lop); ("hlp-a1.0", r.a1); ("hlp-a0.5", r.a05) ])
+      flow
+  in
   (* Binder work per benchmark: wall clock (zeroed under HLP_STABLE) and
      the deterministic iteration count. *)
-  add "  \"bind\": [";
-  sep := "";
-  List.iter
-    (fun pr ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"hlp_seconds\": %s, \
-            \"iterations\": %d}"
-           !sep pr.profile.B.bench_name (jt pr.hlp_seconds) pr.iterations);
-      sep := ",")
-    (Lazy.force prepared);
-  add "\n  ],\n";
+  let bind =
+    rows
+      (fun pr ->
+        Obj
+          [ ("bench", String pr.profile.B.bench_name);
+            ("hlp_seconds", seconds pr.hlp_seconds);
+            ("iterations", Int pr.iterations) ])
+      (Lazy.force prepared)
+  in
   (* Paper Sec. 6 averages (the Table 3 / Figure 3 bottom lines). *)
-  let rows = Lazy.force flow_rows in
-  let mean f = Stats.mean (List.map f rows) in
-  add
-    (Printf.sprintf
-       "  \"summary\": {\"avg_power_change_pct\": %s, \
-        \"avg_clock_change_pct\": %s, \"avg_lut_change_pct\": %s, \
-        \"avg_largest_mux_delta\": %s, \"avg_mux_length_change_pct\": %s, \
-        \"avg_toggle_change_a1_pct\": %s, \"avg_toggle_change_a05_pct\": \
-        %s},\n"
-       (jf (mean (fun r -> pc r.lop.power_mw r.a05.power_mw)))
-       (jf (mean (fun r -> pc r.lop.clk_ns r.a05.clk_ns)))
-       (jf (mean (fun r -> pc r.lop.luts r.a05.luts)))
-       (jf (mean (fun r -> r.a05.largest -. r.lop.largest)))
-       (jf (mean (fun r -> pc r.lop.mux_len r.a05.mux_len)))
-       (jf (mean (fun r -> pc r.lop.toggle r.a1.toggle)))
-       (jf (mean (fun r -> pc r.lop.toggle r.a05.toggle))));
+  let mean name f = (name, Float (Stats.mean (List.map f flow))) in
+  let summary =
+    Obj
+      [ mean "avg_power_change_pct" (fun r -> pc r.lop.power_mw r.a05.power_mw);
+        mean "avg_clock_change_pct" (fun r -> pc r.lop.clk_ns r.a05.clk_ns);
+        mean "avg_lut_change_pct" (fun r -> pc r.lop.luts r.a05.luts);
+        mean "avg_largest_mux_delta" (fun r -> r.a05.largest -. r.lop.largest);
+        mean "avg_mux_length_change_pct" (fun r ->
+            pc r.lop.mux_len r.a05.mux_len);
+        mean "avg_toggle_change_a1_pct" (fun r -> pc r.lop.toggle r.a1.toggle);
+        mean "avg_toggle_change_a05_pct" (fun r ->
+            pc r.lop.toggle r.a05.toggle) ]
+  in
   (* Hit rates of the shared SA table only: the table-vs-dynamic
      ablation deliberately runs a cold private table, which must not
      pollute the "warm run recomputed nothing" check. *)
-  add
-    (Printf.sprintf
-       "  \"sa_table\": {\"entries\": %d, \"hits\": %d, \"misses\": %d, \
-        \"disk_hits\": %d, \"disk_entries\": %d},\n"
-       (List.length (ST.entries sa_table))
-       (ST.hits sa_table) (ST.misses sa_table) (ST.disk_hits sa_table)
-       (ST.disk_entries sa_table));
+  let sa = Obj (ST.stats_fields sa_table) in
   (* Engine comparison: vectors/sec are wall-clock derived, so they go
      to 0 under HLP_STABLE like every other timing; [identical] is the
      asserted scalar-vs-parallel result equality and stays real. *)
-  add "  \"sim\": {\"lanes\": ";
-  add (string_of_int Hlp_util.Bits.lanes);
-  add ", \"workloads\": [";
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"vectors\": %d, \
-            \"scalar_vectors_per_sec\": %s, \"parallel_vectors_per_sec\": \
-            %s, \"sim_vectors_per_sec_speedup\": %s, \"identical\": %b}"
-           !sep r.workload r.sim_vectors
-           (jf (rate r.sim_vectors r.scalar_s))
-           (jf (rate r.sim_vectors r.parallel_s))
-           (jf (speedup_of r)) r.identical);
-      sep := ",")
-    (Lazy.force sim_engine_rows);
-  add "\n  ]},\n";
+  let workload r =
+    Obj
+      [ ("name", String r.workload); ("vectors", Int r.sim_vectors);
+        ("scalar_vectors_per_sec", Float (rate r.sim_vectors r.scalar_s));
+        ("parallel_vectors_per_sec", Float (rate r.sim_vectors r.parallel_s));
+        ("sim_vectors_per_sec_speedup", Float (speedup_of r));
+        ("identical", Bool r.identical) ]
+  in
+  let workloads = rows workload (Lazy.force sim_engine_rows) in
   (* Static estimator differential: relative errors are deterministic
      (both estimators are seeded) and stay real under HLP_STABLE; only
      the timing-derived fields are zeroed. *)
-  add
-    (Printf.sprintf
-       "  \"static_estimator\": {\"glitch_gain\": %s, \"error_bound\": %s, \
-        \"speedup_floor\": %s, \"sweep_speedup\": %s, \"rows\": ["
-       (jf Hlp_static.Analysis.default_glitch_gain)
-       (jf static_error_bound) (jf static_speedup_floor)
-       (jt (static_sweep_speedup (Lazy.force static_estimator_rows))));
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"cycles\": %d, \"sim_toggles\": \
-            %d, \"static_toggles\": %s, \"rel_error\": %s, \
-            \"sim_seconds\": %s, \"static_seconds\": %s, \"speedup\": %s}"
-           !sep r.st_bench r.st_cycles r.st_sim_toggles
-           (jf r.st_static_toggles) (jf r.st_rel_error) (jt r.st_sim_s)
-           (jt r.st_static_s)
-           (jf (static_speedup r)));
-      sep := ",")
-    (Lazy.force static_estimator_rows);
-  add "\n  ]},\n";
+  let static_rows = Lazy.force static_estimator_rows in
+  let static_row r =
+    Obj
+      [ ("bench", String r.st_bench); ("cycles", Int r.st_cycles);
+        ("sim_toggles", Int r.st_sim_toggles);
+        ("static_toggles", Float r.st_static_toggles);
+        ("rel_error", Float r.st_rel_error);
+        ("sim_seconds", seconds r.st_sim_s);
+        ("static_seconds", seconds r.st_static_s);
+        ("speedup", Float (static_speedup r)) ]
+  in
   (* Incremental sessions: hit counts are deterministic (pure functions
      of the edit stream); latency percentiles go to 0 under HLP_STABLE
      like every other timing. *)
-  add "  \"sessions\": [";
-  sep := "";
-  List.iter
-    (fun r ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"bench\": \"%s\", \"edits\": %d, \"full_bind_p50_s\": \
-            %s, \"edit_p50_s\": %s, \"edit_p99_s\": %s, \
-            \"reply_cache_hits\": %d, \"memo_weight_hits\": %d, \
-            \"memo_class_hits\": %d}"
-           !sep r.ss_bench r.ss_edits (jt r.ss_full_p50) (jt r.ss_edit_p50)
-           (jt r.ss_edit_p99) r.ss_reply_hits r.ss_weight_hits
-           r.ss_class_hits);
-      sep := ",")
-    (Lazy.force session_rows);
-  add "\n  ],\n";
+  let srows = Lazy.force session_rows in
+  let session r =
+    Obj
+      [ ("bench", String r.ss_bench); ("edits", Int r.ss_edits);
+        ("full_bind_p50_s", seconds r.ss_full_p50);
+        ("edit_p50_s", seconds r.ss_edit_p50);
+        ("edit_p99_s", seconds r.ss_edit_p99);
+        ("reply_cache_hits", Int r.ss_reply_hits);
+        ("memo_weight_hits", Int r.ss_weight_hits);
+        ("memo_class_hits", Int r.ss_class_hits) ]
+  in
+  let sessions = rows session srows in
   (* Cluster scaling (present only when HLP_CLUSTER=1 ran the
      section).  req/s values are wall-clock derived, so HLP_STABLE
      zeroes them like every other timing; the ok counts and the chaos
      lost count are deterministic. *)
-  if !cluster_rows <> [] then begin
-    add "  \"cluster\": {\"rows\": [";
-    sep := "";
-    List.iter
-      (fun r ->
-        add
-          (Printf.sprintf
-             "%s\n    {\"workers\": %d, \"op\": \"%s\", \"clients\": %d, \
-              \"requests\": %d, \"ok\": %d, \"wall_s\": %s, \"req_per_s\": \
-              %s}"
-             !sep r.cl_workers r.cl_op r.cl_clients r.cl_total r.cl_ok
-             (jt r.cl_wall_s)
-             (jt
-                (if r.cl_wall_s > 0. then
-                   float_of_int r.cl_total /. r.cl_wall_s
-                 else 0.)));
-        sep := ",")
-      !cluster_rows;
-    add "\n  ]";
-    (let lo = cluster_rps "ping" 1 and hi = cluster_rps "ping" 4 in
-     add
-       (Printf.sprintf ", \"ping_scaling_1_to_4\": %s"
-          (jt (if lo > 0. then hi /. lo else 0.))));
-    (match !cluster_chaos_row with
-    | Some c ->
-        add
-          (Printf.sprintf
-             ", \"chaos\": {\"workers\": %d, \"sent\": %d, \"ok\": %d, \
-              \"lost\": %d, \"killed\": \"%s\"}"
-             c.ch_workers c.ch_sent c.ch_ok (c.ch_sent - c.ch_ok)
-             c.ch_killed)
-    | None -> ());
-    add "},\n"
-  end;
+  let cluster_row r =
+    Obj
+      [ ("workers", Int r.cl_workers); ("op", String r.cl_op);
+        ("clients", Int r.cl_clients); ("requests", Int r.cl_total);
+        ("ok", Int r.cl_ok); ("wall_s", seconds r.cl_wall_s);
+        ( "req_per_s",
+          seconds
+            (if r.cl_wall_s > 0. then float_of_int r.cl_total /. r.cl_wall_s
+             else 0.) ) ]
+  in
+  let chaos c =
+    ( "chaos",
+      Obj
+        [ ("workers", Int c.ch_workers); ("sent", Int c.ch_sent);
+          ("ok", Int c.ch_ok); ("lost", Int (c.ch_sent - c.ch_ok));
+          ("killed", String c.ch_killed) ] )
+  in
+  let cluster =
+    if !cluster_rows = [] then []
+    else
+      let lo = cluster_rps "ping" 1 and hi = cluster_rps "ping" 4 in
+      [ ( "cluster",
+          Obj
+            ([ ("rows", rows cluster_row !cluster_rows);
+               ( "ping_scaling_1_to_4",
+                 seconds (if lo > 0. then hi /. lo else 0.) ) ]
+            @ Option.to_list (Option.map chaos !cluster_chaos_row)) ) ]
+  in
   (* Phase wall clock (elaborate / map / sim / power / bind, plus the
      per-design flow spans).  Call counts stay real in stable mode;
-     only the seconds are zeroed. *)
-  add "  \"phases\": [";
-  sep := "";
-  List.iter
-    (fun (name, calls, seconds) ->
-      add
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"calls\": %d, \"seconds\": %s}" !sep
-           (Telemetry.json_escape name) calls (jt seconds));
-      sep := ",")
-    (Telemetry.timers ());
-  (* Synthetic phase row: the median one-op session_edit latency across
-     benchmarks, so the phase table carries the headline incremental
-     number next to the full-flow stages. *)
-  (let srows = Lazy.force session_rows in
-   let sorted =
-     Array.of_list (List.sort compare (List.map (fun r -> r.ss_edit_p50) srows))
-   in
-   let calls = List.fold_left (fun a r -> a + r.ss_edits) 0 srows in
-   add
-     (Printf.sprintf
-        "%s\n    {\"name\": \"edit_p50_us\", \"calls\": %d, \"seconds\": %s}"
-        !sep calls
-        (jt (pctile sorted 0.5))));
-  add "\n  ],\n";
-  add (Printf.sprintf "  \"total_seconds\": %s\n}\n" (jt total_seconds));
+     only the seconds are zeroed.  The last, synthetic row is the
+     median one-op session_edit latency across benchmarks, so the phase
+     table carries the headline incremental number next to the
+     full-flow stages. *)
+  let phase (name, calls, s) =
+    Obj [ ("name", String name); ("calls", Int calls); ("seconds", seconds s) ]
+  in
+  let edit_p50 =
+    ( "edit_p50_us",
+      List.fold_left (fun a r -> a + r.ss_edits) 0 srows,
+      pctile
+        (Array.of_list
+           (List.sort compare (List.map (fun r -> r.ss_edit_p50) srows)))
+        0.5 )
+  in
+  let phases = rows phase (Telemetry.timers () @ [ edit_p50 ]) in
+  let doc =
+    Obj
+      ([ ("schema", String "hlp-bench-v1");
+         ( "meta",
+           Obj
+             [ ("width", Int width); ("vectors", Int vectors);
+               ("variants", Int variants); ("fast", Bool fast);
+               ("stable", Bool stable); ("jobs", Int (Pool.jobs ()));
+               ( "sim_engine",
+                 String Hlp_rtl.Sim.(engine_name (resolve_engine Auto)) );
+               ( "sa_cache",
+                 Option.fold ~none:Null ~some:(fun p -> String p)
+                   (ST.cache_file sa_table) );
+               ("lib_fingerprint", String (ST.fingerprint ())) ] );
+         ("designs", List designs); ("bind", bind); ("summary", summary);
+         ("sa_table", sa);
+         ( "sim",
+           Obj [ ("lanes", Int Hlp_util.Bits.lanes); ("workloads", workloads) ]
+         );
+         ( "static_estimator",
+           Obj
+             [ ("glitch_gain", Float Hlp_static.Analysis.default_glitch_gain);
+               ("error_bound", Float static_error_bound);
+               ("speedup_floor", Float static_speedup_floor);
+               ("sweep_speedup", seconds (static_sweep_speedup static_rows));
+               ("rows", rows static_row static_rows) ] );
+         ("sessions", sessions) ]
+      @ cluster
+      @ [ ("phases", phases); ("total_seconds", seconds total_seconds) ])
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf))
+    (fun () -> output_string oc (to_string doc ^ "\n"))
 
 let bench_json_if_requested ~total_seconds =
   match Sys.getenv_opt "HLP_BENCH_JSON" with
@@ -1434,7 +1394,7 @@ let percentile sorted q =
 let edits_loadgen socket ~clients ~edits ~bench =
   let module P = Hlp_server.Protocol in
   let module C = Hlp_server.Client in
-  let module J = Hlp_server.Json in
+  let module J = Hlp_util.Json in
   let full_reps = 5 in
   Printf.printf
     "loadgen-edits: %d clients x (%d binds + open + %d edits + close) on %s \
@@ -1537,7 +1497,7 @@ let edits_loadgen socket ~clients ~edits ~bench =
 let loadgen socket =
   let module P = Hlp_server.Protocol in
   let module C = Hlp_server.Client in
-  let module J = Hlp_server.Json in
+  let module J = Hlp_util.Json in
   let env name default =
     match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
   in
@@ -1618,7 +1578,7 @@ let loadgen socket =
 
 let chaos_loadgen socket =
   let module P = Hlp_server.Protocol in
-  let module J = Hlp_server.Json in
+  let module J = Hlp_util.Json in
   let env name default =
     match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
   in
@@ -1692,7 +1652,7 @@ let chaos_loadgen socket =
         Thread.delay 0.3;
         (fd_count pid, rss_bytes pid)
   in
-  let stop_at = Unix.gettimeofday () +. seconds in
+  let stop_at = now () +. seconds in
   let client_body c_idx =
     let rand = Random.State.make [| seed; c_idx |] in
     let ri n = Random.State.int rand n in
@@ -1749,7 +1709,7 @@ let chaos_loadgen socket =
                 fail_loud ("internal error for frame " ^ frame)
               else Atomic.incr rejected)
     in
-    while Unix.gettimeofday () < stop_at do
+    while now () < stop_at do
       match ri 10 with
       | 0 ->
           (* mid-request disconnect: send, never read, vanish *)

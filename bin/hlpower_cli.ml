@@ -109,43 +109,49 @@ let prepare bench =
   (p, schedule, regs)
 
 (* HLP_BENCH_JSON=path: dump the flow reports of this invocation plus
-   the SA-table hit rates as one JSON document (same per-design fields
-   as the bench harness's "designs" section). *)
+   the SA-table hit rates as one hlp-bench-v1 document.  Each "designs"
+   entry is a full Flow report ([Flow.to_json]), not the bench
+   harness's averaged per-design row; "sa_table" has the harness's
+   fields. *)
 let write_bench_json_if_requested ?sa_table reports =
   match Sys.getenv_opt "HLP_BENCH_JSON" with
   | Some path when String.trim path <> "" -> (
+      let open Hlp_util.Json in
       let sa =
-        match sa_table with
-        | None -> "null"
-        | Some t ->
-            Printf.sprintf
-              "{\"entries\": %d, \"hits\": %d, \"misses\": %d, \
-               \"disk_hits\": %d, \"disk_entries\": %d}"
-              (List.length (Sa_table.entries t))
-              (Sa_table.hits t) (Sa_table.misses t) (Sa_table.disk_hits t)
-              (Sa_table.disk_entries t)
+        Option.fold ~none:Null ~some:(fun t -> Obj (Sa_table.stats_fields t))
+          sa_table
       in
-      let body =
-        Printf.sprintf
-          "{\n  \"schema\": \"hlp-bench-v1\",\n  \"designs\": [\n    %s\n  \
-           ],\n  \"sa_table\": %s\n}\n"
-          (String.concat ",\n    " (List.map Flow.json_of_report reports))
-          sa
+      let doc =
+        Obj
+          [
+            ("schema", String "hlp-bench-v1");
+            ("designs", List (List.map Flow.to_json reports));
+            ("sa_table", sa);
+          ]
       in
       try
         let oc = open_out path in
         Fun.protect
           ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc body);
+          (fun () -> output_string oc (to_string doc ^ "\n"));
         Format.printf "wrote bench JSON to %s@." path
       with Sys_error msg ->
         Format.eprintf "[bench] cannot write %s: %s@." path msg)
   | _ -> ()
 
+(* The daemon's cap on a datapath width (wider words overflow the
+   simulator's vector draw); the CLI rejects the same widths up front. *)
+let check_width width =
+  if width < 1 || width > Hlp_server.Protocol.max_width then
+    failwith
+      (Printf.sprintf "--width must be within 1..%d (got %d)"
+         Hlp_server.Protocol.max_width width)
+
 let run_bind bench binder alpha width vectors estimator vhdl_out blif_out
     sa_path port_assign testbench_out verbose =
   setup_logs verbose;
   try
+    check_width width;
     let p, schedule, regs = prepare bench in
     let sa_table_used = ref None in
     let binding =
@@ -270,6 +276,7 @@ let run_lint bench binder width json_out catalog verbose =
   end
   else
   try
+    check_width width;
     let binders =
       match binder with
       | "both" -> [ "hlpower"; "lopass" ]
@@ -334,7 +341,8 @@ let run_lint bench binder width json_out catalog verbose =
     (match json_out with
     | Some path ->
         let oc = open_out path in
-        output_string oc (Hlp_lint.Lint.json_report results);
+        output_string oc
+          (Hlp_util.Json.to_string (Hlp_lint.Lint.to_json results) ^ "\n");
         close_out oc;
         Format.printf "wrote JSON to %s@." path
     | None -> ());
@@ -374,6 +382,7 @@ let lint_cmd =
 let run_compare bench width vectors estimator verbose =
   setup_logs verbose;
   try
+    check_width width;
     let p, schedule, regs = prepare bench in
     let lop = Lopass.bind ~regs ~resources:(Benchmarks.resources p) schedule in
     let sa_table = Sa_table.create_default ~width ~k:4 () in
@@ -427,6 +436,7 @@ let alphas_arg =
 let run_explore bench width vectors sa_cache alphas verbose =
   setup_logs verbose;
   try
+    check_width width;
     let p = Benchmarks.find bench in
     let cdfg = Benchmarks.generate p in
     (match alphas with
@@ -482,7 +492,7 @@ let compare_cmd =
 module Server = Hlp_server.Server
 module Protocol = Hlp_server.Protocol
 module Client = Hlp_server.Client
-module Sjson = Hlp_server.Json
+module Sjson = Hlp_util.Json
 
 let socket_arg =
   let doc = "Unix-domain socket path of the daemon." in

@@ -1,5 +1,5 @@
 module P = Hlp_server.Protocol
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module Service = Hlp_server.Service
 module Addr = Hlp_server.Client.Addr
 module Telemetry = Hlp_util.Telemetry

@@ -210,6 +210,14 @@ let entries t =
   Mutex.unlock t.mu;
   List.sort compare rows
 
+let stats_fields t =
+  Hlp_util.Json.
+    [
+      ("entries", Int (List.length (entries t))); ("hits", Int (hits t));
+      ("misses", Int (misses t)); ("disk_hits", Int (disk_hits t));
+      ("disk_entries", Int (disk_entries t));
+    ]
+
 let class_name = Cdfg.class_to_string
 
 let class_of_name = function

@@ -121,6 +121,11 @@ val disk_hits : t -> int
 (** [disk_entries t] is the number of entries that came from disk. *)
 val disk_entries : t -> int
 
+(** [stats_fields t] is the table's counters as JSON object members, in
+    the order every report prints them: [entries], [hits], [misses],
+    [disk_hits], [disk_entries]. *)
+val stats_fields : t -> (string * Hlp_util.Json.t) list
+
 (** [lookup t cls ~left ~right] is the estimated effective SA of the
     partial datapath for FU class [cls] with mux sizes [left] and [right]
     (size 1 = direct wire).  Symmetric in [left]/[right] for multipliers

@@ -1,3 +1,5 @@
+module Json = Hlp_util.Json
+
 type severity = Error | Warning
 
 type loc =
@@ -45,6 +47,8 @@ let compare a b =
     let c = Stdlib.compare a.code b.code in
     if c <> 0 then c else Stdlib.compare (loc_rank a.loc) (loc_rank b.loc)
 
+let severity_name = function Error -> "error" | Warning -> "warning"
+
 let pp_loc fmt = function
   | Op i -> Format.fprintf fmt "op %d" i
   | Fu i -> Format.fprintf fmt "fu %d" i
@@ -56,29 +60,54 @@ let pp_loc fmt = function
   | Design -> Format.fprintf fmt "design"
 
 let pp fmt d =
-  Format.fprintf fmt "%s[%s] %a: %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    d.code pp_loc d.loc d.message
+  Format.fprintf fmt "%s[%s] %a: %s" (severity_name d.severity) d.code pp_loc
+    d.loc d.message
 
 let to_string d = Format.asprintf "%a" pp d
 
-(* Hand-rolled JSON, matching Telemetry's no-yojson policy. *)
-let json_loc = function
-  | Op i -> Printf.sprintf {|{"kind": "op", "index": %d}|} i
-  | Fu i -> Printf.sprintf {|{"kind": "fu", "index": %d}|} i
-  | Reg i -> Printf.sprintf {|{"kind": "reg", "index": %d}|} i
-  | Step i -> Printf.sprintf {|{"kind": "step", "index": %d}|} i
-  | Node i -> Printf.sprintf {|{"kind": "node", "index": %d}|} i
-  | Net s ->
-      Printf.sprintf {|{"kind": "net", "name": "%s"}|}
-        (Hlp_util.Telemetry.json_escape s)
-  | Line i -> Printf.sprintf {|{"kind": "line", "index": %d}|} i
-  | Design -> {|{"kind": "design"}|}
+(* --- JSON codec (lint reports and the daemon's error replies) --- *)
 
-let json_of d =
-  Printf.sprintf
-    {|{"code": "%s", "severity": "%s", "loc": %s, "message": "%s"}|}
-    (Hlp_util.Telemetry.json_escape d.code)
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    (json_loc d.loc)
-    (Hlp_util.Telemetry.json_escape d.message)
+(* Wire kinds of the index-carrying locations; [Net] and [Design] are
+   the two that carry no index. *)
+let indexed_locs : (string * (int -> loc)) list =
+  [ ("op", fun i -> Op i); ("fu", fun i -> Fu i); ("reg", fun i -> Reg i);
+    ("step", fun i -> Step i); ("node", fun i -> Node i);
+    ("line", fun i -> Line i) ]
+
+let json_of_loc : loc -> Json.t = function
+  | Net s -> Obj [ ("kind", String "net"); ("name", String s) ]
+  | Design -> Obj [ ("kind", String "design") ]
+  | (Op i | Fu i | Reg i | Step i | Node i | Line i) as loc ->
+      let kind, _ = List.find (fun (_, mk) -> mk i = loc) indexed_locs in
+      Obj [ ("kind", String kind); ("index", Int i) ]
+
+let str name v = Option.bind (Json.member name v) Json.to_string_opt
+
+let loc_of_json v =
+  match str "kind" v with
+  | Some "net" -> Option.map (fun n -> Net n) (str "name" v)
+  | Some "design" -> Some Design
+  | Some kind ->
+      Option.bind (List.assoc_opt kind indexed_locs) (fun mk ->
+          Option.map mk (Option.bind (Json.member "index" v) Json.to_int))
+  | None -> None
+
+let to_json d : Json.t =
+  Obj
+    [
+      ("code", String d.code);
+      ("severity", String (severity_name d.severity));
+      ("loc", json_of_loc d.loc);
+      ("message", String d.message);
+    ]
+
+let of_json v =
+  match (str "code" v, str "severity" v, str "message" v) with
+  | Some code, Some sev, Some message ->
+      let severity = if sev = "warning" then Warning else Error in
+      let loc =
+        Option.value ~default:Design
+          (Option.bind (Json.member "loc" v) loc_of_json)
+      in
+      Some { code; severity; loc; message }
+  | _ -> None

@@ -58,6 +58,14 @@ val pp : Format.formatter -> t -> unit
 (** [to_string t] is [pp] rendered to a string. *)
 val to_string : t -> string
 
-(** [json_of t] renders one diagnostic as a JSON object (same hand-rolled
-    style as [Hlp_util.Telemetry]). *)
-val json_of : t -> string
+(** [to_json t] is one diagnostic as a JSON object
+    [{"code", "severity", "loc", "message"}]; [loc] is
+    [{"kind": "op", "index": 3}]-style ([{"kind": "net", "name": ...}]
+    for nets, [{"kind": "design"}] for the whole artifact).  Lint
+    reports and the daemon's error replies both carry this shape. *)
+val to_json : t -> Hlp_util.Json.t
+
+(** [of_json v] inverts {!to_json}.  [None] when [code], [severity] or
+    [message] is missing; an absent or unrecognised [loc] reads as
+    [Design], and any severity other than ["warning"] as [Error]. *)
+val of_json : Hlp_util.Json.t -> t option

@@ -164,32 +164,19 @@ let pp_report ppf (design, ds) =
   List.iter (fun d -> Format.fprintf ppf "%s: %a@." design D.pp d) ds;
   Format.fprintf ppf "%s: %s@." design (summary ds)
 
-let json_report results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"lint\": [";
-  let sep = ref "" in
-  List.iter
-    (fun (design, ds) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\n    {\"design\": \"%s\", \"errors\": %d, \
-                         \"warnings\": %d, \"diagnostics\": ["
-           !sep
-           (Hlp_util.Telemetry.json_escape design)
-           (List.length (D.errors ds))
-           (List.length ds - List.length (D.errors ds)));
-      sep := ",";
-      let dsep = ref "" in
-      List.iter
-        (fun d ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\n      %s" !dsep (D.json_of d));
-          dsep := ",")
-        ds;
-      if ds <> [] then Buffer.add_string buf "\n    ";
-      Buffer.add_string buf "]}")
-    results;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+let to_json results =
+  let open Hlp_util.Json in
+  let design (name, ds) =
+    let errors = List.length (D.errors ds) in
+    Obj
+      [
+        ("design", String name);
+        ("errors", Int errors);
+        ("warnings", Int (List.length ds - errors));
+        ("diagnostics", List (List.map D.to_json ds));
+      ]
+  in
+  Obj [ ("lint", List (List.map design results)) ]
 
 (* --- hook installation ------------------------------------------------ *)
 

@@ -64,6 +64,9 @@ val summary : Diagnostic.t list -> string
     by a summary line. *)
 val pp_report : Format.formatter -> string * Diagnostic.t list -> unit
 
-(** [json_report results] renders [(design, diagnostics)] pairs as one
-    JSON document (hand-rolled, same style as [Hlp_util.Telemetry]). *)
-val json_report : (string * Diagnostic.t list) list -> string
+(** [to_json results] is [(design, diagnostics)] pairs as one JSON
+    document [{"lint": [{"design", "errors", "warnings",
+    "diagnostics"}, ...]}], each diagnostic in {!Diagnostic.to_json}
+    form.  The CLI's [--json] file and the daemon's [lint] reply
+    [report] are both this value. *)
+val to_json : (string * Diagnostic.t list) list -> Hlp_util.Json.t

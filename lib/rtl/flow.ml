@@ -165,48 +165,41 @@ let run ?(checkpoint = fun _ -> ()) ?(config = default_config) ~design binding
         static_power;
   }
 
-(* Machine-readable form of a report, as one JSON object.  Floats are
-   printed with %.17g so two reports are textually equal iff the metrics
+(* Machine-readable form of a report, as one JSON object.  Json prints
+   floats with %.17g, so two reports are textually equal iff the metrics
    are bit-identical — this is what lets the bench CI diff a warm-cache
    run against a cold one. *)
-let json_float x = Printf.sprintf "%.17g" x
+let to_json r =
+  let open Hlp_util.Json in
+  Obj
+    ([
+       ("design", String r.design);
+       ("dynamic_power_mw", Float r.dynamic_power_mw);
+       ("clock_period_ns", Float r.clock_period_ns);
+       ("luts", Int r.luts);
+       ("largest_mux", Int r.largest_mux);
+       ("mux_length", Int r.mux_length);
+       ("toggle_rate_mhz", Float r.toggle_rate_mhz);
+       ("est_total_sa", Float r.est_total_sa);
+       ("est_glitch_sa", Float r.est_glitch_sa);
+       ("sim_glitch_fraction", Float r.sim_glitch_fraction);
+       ("cycles", Int r.cycles);
+       ("depth", Int r.depth);
+     ]
+    (* Static fields render only when an estimate was computed, so a
+       [`Sim] report stays byte-identical to the historical format. *)
+    @
+    match r.static with
+    | None -> []
+    | Some st ->
+        [
+          ("static_power_mw", Float st.static_power_mw);
+          ("static_toggle_rate_mhz", Float st.static_toggle_rate_mhz);
+          ("static_total_toggles", Int st.static_total_toggles);
+          ("static_glitch_fraction", Float st.static_glitch_fraction);
+        ])
 
-let json_of_report r =
-  let s = Telemetry.json_escape in
-  String.concat ""
-    [
-      "{";
-      Printf.sprintf "\"design\": \"%s\", " (s r.design);
-      Printf.sprintf "\"dynamic_power_mw\": %s, " (json_float r.dynamic_power_mw);
-      Printf.sprintf "\"clock_period_ns\": %s, " (json_float r.clock_period_ns);
-      Printf.sprintf "\"luts\": %d, " r.luts;
-      Printf.sprintf "\"largest_mux\": %d, " r.largest_mux;
-      Printf.sprintf "\"mux_length\": %d, " r.mux_length;
-      Printf.sprintf "\"toggle_rate_mhz\": %s, " (json_float r.toggle_rate_mhz);
-      Printf.sprintf "\"est_total_sa\": %s, " (json_float r.est_total_sa);
-      Printf.sprintf "\"est_glitch_sa\": %s, " (json_float r.est_glitch_sa);
-      Printf.sprintf "\"sim_glitch_fraction\": %s, "
-        (json_float r.sim_glitch_fraction);
-      Printf.sprintf "\"cycles\": %d, " r.cycles;
-      Printf.sprintf "\"depth\": %d" r.depth;
-      (* Static fields render only when an estimate was computed, so a
-         [`Sim] report stays byte-identical to the historical format. *)
-      (match r.static with
-      | None -> ""
-      | Some st ->
-          String.concat ""
-            [
-              Printf.sprintf ", \"static_power_mw\": %s"
-                (json_float st.static_power_mw);
-              Printf.sprintf ", \"static_toggle_rate_mhz\": %s"
-                (json_float st.static_toggle_rate_mhz);
-              Printf.sprintf ", \"static_total_toggles\": %d"
-                st.static_total_toggles;
-              Printf.sprintf ", \"static_glitch_fraction\": %s"
-                (json_float st.static_glitch_fraction);
-            ]);
-      "}";
-    ]
+let json_of_report r = Hlp_util.Json.to_string (to_json r)
 
 let pp_report fmt r =
   Format.fprintf fmt

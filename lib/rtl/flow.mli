@@ -97,10 +97,13 @@ val run :
 (** [pp_report] prints a compact human-readable report. *)
 val pp_report : Format.formatter -> report -> unit
 
-(** [json_of_report r] renders [r] as one JSON object.  Floats use
-    [%.17g], so two rendered reports are textually equal iff their
-    metrics are bit-identical (the property the bench harness's
-    warm-vs-cold cache diff checks).  The [static_*] fields are
-    rendered only when [r.static] is present, so [`Sim]-mode output is
-    byte-identical to the historical format. *)
+(** [to_json r] is [r] as one JSON object.  The [static_*] fields are
+    present only when [r.static] is, so a [`Sim] report carries exactly
+    the historical fields. *)
+val to_json : report -> Hlp_util.Json.t
+
+(** [json_of_report r] is [Hlp_util.Json.to_string (to_json r)].  Floats
+    print with [%.17g], so two rendered reports are textually equal iff
+    their metrics are bit-identical (the property the bench harness's
+    warm-vs-cold cache diff and the daemon-equals-CLI checks rely on). *)
 val json_of_report : report -> string

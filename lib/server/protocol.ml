@@ -1,3 +1,4 @@
+module Json = Hlp_util.Json
 module Diagnostic = Hlp_lint.Diagnostic
 module Cdfg = Hlp_cdfg.Cdfg
 module Sim = Hlp_rtl.Sim
@@ -160,45 +161,6 @@ let error_reply ?(diagnostics = []) ~id code fmt =
       { reply_id = id; payload = Error { code; message; diagnostics } })
     fmt
 
-(* --- diagnostics on the wire --- *)
-
-(* Wire kinds of the index-carrying locations; [Net] and [Design] are
-   the two that carry no index. *)
-let indexed_locs : (string * (int -> Diagnostic.loc)) list =
-  [ ("op", fun i -> Op i); ("fu", fun i -> Fu i); ("reg", fun i -> Reg i);
-    ("step", fun i -> Step i); ("node", fun i -> Node i);
-    ("line", fun i -> Line i) ]
-
-let json_of_loc : Diagnostic.loc -> Json.t = function
-  | Net s -> Obj [ ("kind", String "net"); ("name", String s) ]
-  | Design -> Obj [ ("kind", String "design") ]
-  | (Op i | Fu i | Reg i | Step i | Node i | Line i) as loc ->
-      let kind, _ = List.find (fun (_, mk) -> mk i = loc) indexed_locs in
-      Obj [ ("kind", String kind); ("index", Int i) ]
-
-let loc_of_json (v : Json.t) : Diagnostic.loc option =
-  match Option.bind (Json.member "kind" v) Json.to_string_opt with
-  | Some "net" ->
-      Option.map
-        (fun n -> Diagnostic.Net n)
-        (Option.bind (Json.member "name" v) Json.to_string_opt)
-  | Some "design" -> Some Diagnostic.Design
-  | Some kind ->
-      Option.bind (List.assoc_opt kind indexed_locs) (fun mk ->
-          Option.map mk (Option.bind (Json.member "index" v) Json.to_int))
-  | None -> None
-
-let json_of_diagnostic (d : Diagnostic.t) : Json.t =
-  Obj
-    [
-      ("code", String d.code);
-      ( "severity",
-        String
-          (match d.severity with Error -> "error" | Warning -> "warning") );
-      ("loc", json_of_loc d.loc);
-      ("message", String d.message);
-    ]
-
 (* --- request schema combinators --- *)
 
 (* A parameter record is declared once, as field specs in wire order;
@@ -256,14 +218,14 @@ module Schema = struct
 
   let any draw = { check = (fun _ _ v -> Some v); draw }
 
-  let positive ?(max = max_int) ?sample_max () =
+  let positive ?(max = max_int) () =
     let check sink name v =
       if v <= 0 then reject sink "parameter %S must be positive" name
       else if v > max then
         reject sink "parameter %S must be within 1..%d (got %d)" name max v
       else Some v
     in
-    { check; draw = int_in 1 (Option.value sample_max ~default:(min max 64)) }
+    { check; draw = int_in 1 (min max 64) }
 
   let fraction =
     let check sink name a =
@@ -874,10 +836,6 @@ let bench = Schema.(any (one_of ("" :: bench_names)))
 let binder = Schema.enum [ "hlpower"; "lopass" ]
 let width = Schema.positive ~max:max_width ()
 
-(* Explore and lint do not cap their width; only the sampler keeps to
-   the widths bind accepts. *)
-let any_width = Schema.positive ~sample_max:max_width ()
-
 let engine =
   Schema.enum
     ~parse:(fun s -> Option.map Sim.engine_name (Sim.engine_of_string s))
@@ -926,7 +884,7 @@ let explore_spec =
         { ex_bench; ex_width; ex_vectors; ex_adds; ex_mults; ex_alphas })
     |+ field "bench" string ~default:d.ex_bench (required (one_of bench_names))
          (fun p -> p.ex_bench)
-    |+ field "width" int ~default:d.ex_width any_width (fun p -> p.ex_width)
+    |+ field "width" int ~default:d.ex_width width (fun p -> p.ex_width)
     |+ field "vectors" int ~default:d.ex_vectors (positive ()) (fun p ->
            p.ex_vectors)
     |+ field "adds" (nonempty_list int) ~default:d.ex_adds units (fun p ->
@@ -946,7 +904,7 @@ let lint_spec =
          (any (option_of (one_of bench_names))) (fun p -> p.lint_bench)
     |+ field "binder" string ~default:d.lint_binder
          (enum [ "hlpower"; "lopass"; "both" ]) (fun p -> p.lint_binder)
-    |+ field "width" int ~default:d.lint_width any_width (fun p -> p.lint_width)
+    |+ field "width" int ~default:d.lint_width width (fun p -> p.lint_width)
     |> seal)
 
 let session_open_spec =
@@ -1170,7 +1128,7 @@ let encode_reply r =
         [ ("status", String "ok"); ("op", String op); ("result", result);
           ("telemetry", Obj telemetry); ("elapsed_ms", Float elapsed_ms) ]
     | Error { code; message; diagnostics } ->
-        let diagnostics = List.map json_of_diagnostic diagnostics in
+        let diagnostics = List.map Diagnostic.to_json diagnostics in
         [ ("status", String "error");
           ( "error",
             Obj [ ("code", String (error_code_to_string code));
@@ -1182,19 +1140,6 @@ let encode_reply r =
 
 let str name v = Option.bind (Json.member name v) Json.to_string_opt
 let counter (k, v) = Option.map (fun i -> (k, i)) (Json.to_int v)
-
-let diagnostic_of_json (v : Json.t) : Diagnostic.t option =
-  match (str "code" v, str "severity" v, str "message" v) with
-  | Some code, Some sev, Some message ->
-      let severity =
-        if sev = "warning" then Diagnostic.Warning else Diagnostic.Error
-      in
-      let loc =
-        Option.value ~default:Diagnostic.Design
-          (Option.bind (Json.member "loc" v) loc_of_json)
-      in
-      Some { Diagnostic.code; severity; loc; message }
-  | _ -> None
 
 let decode_reply line =
   match Json.parse line with
@@ -1227,7 +1172,7 @@ let decode_reply line =
                   let diagnostics =
                     match Json.member "diagnostics" err with
                     | Some (Json.List ds) ->
-                        List.filter_map diagnostic_of_json ds
+                        List.filter_map Diagnostic.of_json ds
                     | _ -> []
                   in
                   let message = Option.value ~default:"" (str "message" err) in

@@ -201,13 +201,13 @@ val max_width : int
 
 (** [json_of_graph g] is the wire encoding of an inline graph —
     {!decode_request} parses it back to an equal CDFG. *)
-val json_of_graph : Hlp_cdfg.Cdfg.t -> Json.t
+val json_of_graph : Hlp_cdfg.Cdfg.t -> Hlp_util.Json.t
 
 (** Parameters of [explore] — the CLI [explore] options plus the sweep
     grid. *)
 type explore_params = {
   ex_bench : string;
-  ex_width : int;
+  ex_width : int;  (** within [1..max_width], like [bind]'s [width] *)
   ex_vectors : int;
   ex_adds : int list;
   ex_mults : int list;
@@ -216,11 +216,16 @@ type explore_params = {
 
 val default_explore_params : explore_params
 
-(** Parameters of [lint] — the CLI [lint] options. *)
+(** Parameters of [lint] — the CLI [lint] options.  The reply's
+    [result] is [{"designs", "errors", "report"}], where [report] is
+    {!Hlp_lint.Lint.to_json} nested as an object: the same value the
+    CLI's [lint --json] file holds.  (It used to be the CLI's
+    multi-line text with newlines flattened to spaces; the parsed value
+    is unchanged, only its whitespace moved.) *)
 type lint_params = {
   lint_bench : string option;  (** [None] = every benchmark and kernel *)
   lint_binder : string;  (** ["hlpower"], ["lopass"] or ["both"] *)
-  lint_width : int;
+  lint_width : int;  (** within [1..max_width] *)
 }
 
 val default_lint_params : lint_params
@@ -284,7 +289,7 @@ type op =
 val op_name : op -> string
 
 type request = {
-  id : Json.t;  (** echoed verbatim in the reply; [Null] when absent *)
+  id : Hlp_util.Json.t;  (** echoed verbatim in the reply; [Null] when absent *)
   deadline_ms : int option;  (** per-request deadline, from receipt *)
   op : op;
 }
@@ -309,7 +314,7 @@ val error_code_of_string : string -> error_code option
 type payload =
   | Result of {
       op : string;  (** the request's operation name *)
-      result : Json.t;
+      result : Hlp_util.Json.t;
       telemetry : (string * int) list;
           (** counters this request moved ({!Hlp_util.Telemetry.with_scope}) *)
       elapsed_ms : float;
@@ -320,13 +325,13 @@ type payload =
       diagnostics : Diagnostic.t list;
     }
 
-type reply = { reply_id : Json.t; payload : payload }
+type reply = { reply_id : Hlp_util.Json.t; payload : payload }
 
 (** [error_reply ?diagnostics ~id code fmt ...] builds an error reply
     with a formatted message. *)
 val error_reply :
   ?diagnostics:Diagnostic.t list ->
-  id:Json.t ->
+  id:Hlp_util.Json.t ->
   error_code ->
   ('a, unit, string, reply) format4 ->
   'a
@@ -347,7 +352,7 @@ val random_request : Random.State.t -> request
     per offense. *)
 type decode_error = {
   err_code : error_code;
-  err_id : Json.t;
+  err_id : Hlp_util.Json.t;
   err_diagnostics : Diagnostic.t list;
 }
 
@@ -365,12 +370,9 @@ val encode_reply : reply -> string
 
 (** [decode_reply line] is the client-side inverse of {!encode_reply}.
     Round-trip law: [decode_reply (encode_reply r) = Ok r] for every
-    reply whose [result] contains no [Json.Raw] fragments (raw
+    reply whose [result] contains no [Hlp_util.Json.Raw] fragments (raw
     fragments come back as parsed values). *)
 val decode_reply : string -> (reply, string) result
-
-(** [json_of_diagnostic d] is {!Diagnostic.json_of} as a {!Json.t}. *)
-val json_of_diagnostic : Diagnostic.t -> Json.t
 
 (** {2 Framing} *)
 

@@ -13,6 +13,7 @@ module Diagnostic = Hlp_lint.Diagnostic
 
 module Delta = Hlp_cdfg.Delta
 module Clock = Hlp_util.Clock
+module Json = Hlp_util.Json
 module Telemetry = Hlp_util.Telemetry
 
 let c_sessions_opened = Telemetry.counter "router.sessions_opened"
@@ -133,19 +134,15 @@ let sa_stats_json t : Json.t =
     (List.map
        (fun table ->
          Json.Obj
-           [
-             ("width", Json.Int (Sa_table.width table));
-             ("k", Json.Int (Sa_table.k table));
-             ("entries", Json.Int (List.length (Sa_table.entries table)));
-             ("hits", Json.Int (Sa_table.hits table));
-             ("misses", Json.Int (Sa_table.misses table));
-             ("disk_hits", Json.Int (Sa_table.disk_hits table));
-             ("disk_entries", Json.Int (Sa_table.disk_entries table));
-             ( "cache_file",
-               match Sa_table.cache_file table with
-               | Some p -> Json.String p
-               | None -> Json.Null );
-           ])
+           ((("width", Json.Int (Sa_table.width table))
+            :: ("k", Json.Int (Sa_table.k table))
+            :: Sa_table.stats_fields table)
+           @ [
+               ( "cache_file",
+                 match Sa_table.cache_file table with
+                 | Some p -> Json.String p
+                 | None -> Json.Null );
+             ]))
        (List.sort
           (fun a b ->
             compare (Sa_table.width a, Sa_table.k a)
@@ -289,10 +286,11 @@ let handle_flow t ~checkpoint (p : Protocol.bind_params) =
     Flow.run ~checkpoint ~config ~design:(design_base ^ "-" ^ p.binder)
       binding
   in
-  (* Raw keeps the report byte-identical to the CLI's HLP_BENCH_JSON
-     rendering — the "concurrent daemon equals sequential CLI"
-     acceptance check literally compares these strings. *)
-  Json.Raw (Flow.json_of_report report)
+  (* The same value the CLI's HLP_BENCH_JSON prints, so the reply's
+     [result] is byte-identical to [Flow.json_of_report] — the
+     "concurrent daemon equals sequential CLI" acceptance check
+     literally compares these strings. *)
+  Flow.to_json report
 
 let handle_explore t ~checkpoint (p : Protocol.explore_params) =
   checkpoint "explore";
@@ -381,19 +379,11 @@ let handle_lint t ~checkpoint (p : Protocol.lint_params) =
       (fun n (_, ds) -> n + List.length (Diagnostic.errors ds))
       0 results
   in
-  (* Lint.json_report pretty-prints across lines; a raw splice of it
-     would smuggle newlines into the newline-delimited frame and
-     truncate the reply mid-object. *)
-  let report_one_line =
-    String.map
-      (fun c -> if c = '\n' then ' ' else c)
-      (Hlp_lint.Lint.json_report results)
-  in
   Json.Obj
     [
       ("designs", Json.Int (List.length results));
       ("errors", Json.Int errors);
-      ("report", Json.Raw report_one_line);
+      ("report", Hlp_lint.Lint.to_json results);
     ]
 
 let handle_ping ~checkpoint ms =

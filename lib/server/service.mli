@@ -50,8 +50,9 @@ val send_line : conn -> string -> unit
 
 type handler = {
   banner : string;  (** appended to the "listening on" log line *)
-  stats : unit -> Json.t;  (** the [stats] reply body *)
-  cluster_stats : unit -> Json.t;  (** the [cluster_stats] reply body *)
+  stats : unit -> Hlp_util.Json.t;  (** the [stats] reply body *)
+  cluster_stats : unit -> Hlp_util.Json.t;
+      (** the [cluster_stats] reply body *)
   gauges : unit -> Hlp_util.Prometheus.metric list;
       (** the role's point-in-time [/metrics] gauges *)
   dispatch : conn -> raw:string -> Protocol.request -> unit;
@@ -100,11 +101,11 @@ val draining : t -> bool
 val uptime : t -> float
 
 (** [draining_reply t ~id] is the [draining] refusal for request [id]. *)
-val draining_reply : t -> id:Json.t -> Protocol.reply
+val draining_reply : t -> id:Hlp_util.Json.t -> Protocol.reply
 
 (** Every telemetry counter, as the [telemetry] object of a [stats]
     reply. *)
-val telemetry_json : unit -> Json.t
+val telemetry_json : unit -> Hlp_util.Json.t
 
 (** [socket_alive path] is true when something accepts connections on
     the Unix-domain socket [path]. *)

@@ -1,11 +1,12 @@
-(** Minimal JSON for the wire protocol.
+(** The tree's one JSON module: a value type, a parser and a printer.
 
-    The tree has always emitted JSON by hand ([Hlp_util.Telemetry],
-    [Hlp_rtl.Flow], [Hlp_lint]); the serving daemon is the first thing
-    that must also {e read} it, and the environment carries no JSON
-    package, so this module completes the loop: a small recursive-descent
-    parser plus a printer, covering the full RFC 8259 grammar: [\uXXXX]
-    escapes decode to UTF-8 (surrogate pairs combine into one
+    Every JSON document the project writes — Flow reports, lint
+    reports, telemetry dumps, [HLP_BENCH_JSON] files and the serving
+    daemon's replies — is built as a {!t} and printed by {!to_string};
+    nothing else escapes a string or prints a number.  The environment
+    carries no JSON package, so this is a small recursive-descent
+    parser plus a printer, covering the full RFC 8259 grammar:
+    [\uXXXX] escapes decode to UTF-8 (surrogate pairs combine into one
     supplementary-plane code point; a lone surrogate becomes U+FFFD),
     and the printer passes non-ASCII bytes through verbatim, so
     non-ASCII string values — request ids included — round-trip.
@@ -13,14 +14,15 @@
     Two deliberate choices:
 
     - Numbers without [.], [e] or [E] parse as [Int]; everything else as
-      [Float].  [Float] prints with [%.17g], so a double that entered the
-      protocol survives a round trip bit-exactly — the property the
-      "concurrent clients equal sequential CLI" acceptance check rests
-      on.
+      [Float].  [Float] prints with [%.17g], so a double survives a
+      round trip bit-exactly, and two printed documents are textually
+      equal iff their numbers are bit-identical — the property the
+      bench's warm-vs-cold diff and the "concurrent clients equal
+      sequential CLI" check rest on.  A non-finite [Float] prints as
+      [null].
     - [Raw] injects a pre-rendered JSON fragment verbatim into the
-      output.  The pipeline's own emitters ([Flow.json_of_report],
-      [Lint.json_report]) keep authority over their float formatting;
-      the parser never produces [Raw]. *)
+      output, so a reply cache can splice a stored rendering without
+      re-printing it; the parser never produces [Raw]. *)
 
 type t =
   | Null
@@ -51,8 +53,9 @@ val default_max_depth : int
     produced when {!parse} hits its [max_depth]. *)
 val is_depth_error : string -> bool
 
-(** [to_string v] prints [v] on one line (no newlines — a printed value
-    is always a valid protocol frame body). *)
+(** [to_string v] prints [v] on one line, members separated by [", "]
+    and keys by [": "] (no newlines — a printed value is always a valid
+    protocol frame body, and a file dump is that line plus ["\n"]). *)
 val to_string : t -> string
 
 (** {2 Accessors} — total, returning [None]/defaults on shape

@@ -14,7 +14,7 @@ let split t label =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  Random.State.int t bound
+  Random.State.full_int t bound
 
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t

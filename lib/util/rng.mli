@@ -15,7 +15,9 @@ val create : string -> t
     [label] always yield the same substream. *)
 val split : t -> string -> t
 
-(** [int t bound] draws uniformly from [0, bound). [bound] must be > 0. *)
+(** [int t bound] draws uniformly from [0, bound). [bound] must be > 0
+    and may be any positive [int] (a 30-bit word's [2^30] included);
+    below [2^30] the stream equals [Random.State.int]'s. *)
 val int : t -> int -> int
 
 (** [float t bound] draws uniformly from [0, bound). *)

@@ -14,9 +14,13 @@ type timer = { mutable calls : int; mutable seconds : float }
 
 let timers_tbl : (string, timer) Hashtbl.t = Hashtbl.create 64
 
-type span_rec = { sp_name : string; sp_start : float; sp_dur : float }
-
-let span_log : span_rec list ref = ref []
+(* The span log is a fixed-capacity ring: a long-running daemon records
+   one span per flow, and only the most recent ones are worth keeping.
+   [span_next] counts every span ever recorded since the last reset;
+   slot [i mod span_capacity] holds span number [i]. *)
+let span_capacity = 4096
+let span_log = Array.make span_capacity ("", 0., 0.)
+let span_next = ref 0
 
 let counter name =
   locked (fun () ->
@@ -80,17 +84,20 @@ let record_timer name dt =
       t.seconds <- t.seconds +. dt)
 
 let time name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> record_timer name (Unix.gettimeofday () -. t0)) f
+  let t0 = Clock.monotonic () in
+  Fun.protect
+    ~finally:(fun () -> record_timer name (Clock.monotonic () -. t0))
+    f
 
 let span name f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Clock.monotonic () -. t0 in
       record_timer name dt;
       locked (fun () ->
-          span_log := { sp_name = name; sp_start = t0; sp_dur = dt } :: !span_log))
+          span_log.(!span_next mod span_capacity) <- (name, t0, dt);
+          span_next := !span_next + 1))
     f
 
 let counters () =
@@ -105,77 +112,35 @@ let timers () =
 
 let spans () =
   locked (fun () ->
-      List.rev_map (fun s -> (s.sp_name, s.sp_start, s.sp_dur)) !span_log)
+      let n = min !span_next span_capacity in
+      List.init n (fun i ->
+          span_log.((!span_next - n + i) mod span_capacity)))
 
 let reset () =
   locked (fun () ->
       Hashtbl.reset counters_tbl;
       Hashtbl.reset timers_tbl;
-      span_log := [])
-
-(* --- hand-rolled JSON (no yojson in this environment) --- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float x =
-  (* %.6f keeps durations readable and is always valid JSON (no nan/inf
-     can arise from gettimeofday differences). *)
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.1f" x
-  else Printf.sprintf "%.6f" x
+      span_next := 0)
 
 let to_json () =
-  let buf = Buffer.create 4096 in
-  let sep = ref "" in
-  Buffer.add_string buf "{\n  \"counters\": {";
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\n    \"%s\": %d" !sep (json_escape k) v);
-      sep := ",")
-    (counters ());
-  Buffer.add_string buf "\n  },\n  \"timers\": [";
-  sep := "";
-  List.iter
-    (fun (k, calls, seconds) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"calls\": %d, \"seconds\": %s}" !sep
-           (json_escape k) calls (json_float seconds));
-      sep := ",")
-    (timers ());
-  Buffer.add_string buf "\n  ],\n  \"spans\": [";
-  sep := "";
-  List.iter
-    (fun (k, start, dur) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s\n    {\"name\": \"%s\", \"start\": %s, \"seconds\": %s}" !sep
-           (json_escape k) (json_float start) (json_float dur));
-      sep := ",")
-    (spans ());
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+  let open Json in
+  let timer (name, calls, s) =
+    Obj [ ("name", String name); ("calls", Int calls); ("seconds", Float s) ]
+  in
+  let span (name, start, s) =
+    Obj [ ("name", String name); ("start", Float start); ("seconds", Float s) ]
+  in
+  to_string
+    (Obj
+       [ ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) (counters ())));
+         ("timers", List (List.map timer (timers ())));
+         ("spans", List (List.map span (spans ()))) ])
 
 let write path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ()))
+    (fun () -> output_string oc (to_json () ^ "\n"))
 
 let write_if_requested () =
   match Sys.getenv_opt "HLP_TELEMETRY" with

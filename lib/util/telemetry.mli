@@ -1,5 +1,6 @@
-(** Process-wide observability: named counters, accumulated wall-clock
-    timers, and individual span records, dumped as JSON.
+(** Process-wide observability: named counters, accumulated timers, and
+    a bounded log of recent span records, dumped as JSON (built with
+    {!Json}).
 
     Every primitive is safe to call from any domain, so instrumented code
     (the mapper, the simulator, the SA-table cache, the binder) needs no
@@ -33,13 +34,16 @@ val count : string -> int -> unit
 (** [value (counter name)] reads the current total. *)
 val value : counter -> int
 
-(** [time name f] runs [f ()], adding its wall-clock duration (and one
-    call) to the accumulated timer [name].  Exceptions propagate; the
-    partial duration is still recorded. *)
+(** [time name f] runs [f ()], adding its duration (and one call) to the
+    accumulated timer [name].  Durations are read from
+    {!Clock.monotonic}, so a wall-clock step cannot skew them.
+    Exceptions propagate; the partial duration is still recorded. *)
 val time : string -> (unit -> 'a) -> 'a
 
 (** [span name f] is {!time} plus an individual record of this call's
-    start time and duration, for per-design / per-phase breakdowns. *)
+    start time and duration, for per-design / per-phase breakdowns.
+    The log keeps only the most recent {!span_capacity} records, so a
+    long-running daemon that spans every request stays bounded. *)
 val span : string -> (unit -> 'a) -> 'a
 
 (** [with_scope f] runs [f ()] with a per-request counter scope active
@@ -60,28 +64,24 @@ val counters : unit -> (string * int) list
 (** [(name, calls, total_seconds)] per accumulated timer. *)
 val timers : unit -> (string * int * float) list
 
-(** [(name, start_unix_seconds, duration_seconds)] per recorded span. *)
+(** [(name, start, duration_seconds)] per retained span, oldest first.
+    [start] is a {!Clock.monotonic} reading: seconds since an arbitrary
+    epoch, meaningful only relative to other spans' starts. *)
 val spans : unit -> (string * float * float) list
+
+(** How many spans the log retains (a fixed constant). *)
+val span_capacity : int
 
 (** [reset ()] clears all counters, timers and spans (tests). *)
 val reset : unit -> unit
 
-(** [to_json ()] renders the snapshot as a JSON object with fields
-    ["counters"] (object of integers), ["timers"] (array of
+(** [to_json ()] renders the snapshot, on one line, as a JSON object
+    with fields ["counters"] (object of integers), ["timers"] (array of
     [{name, calls, seconds}]) and ["spans"] (array of
     [{name, start, seconds}]). *)
 val to_json : unit -> string
 
-(** [json_escape s] escapes [s] for embedding in a JSON string literal
-    (shared by every hand-rolled JSON emitter in the tree). *)
-val json_escape : string -> string
-
-(** [json_float x] renders a finite float as a JSON number (readable
-    [%.6f]-style precision — suited to durations, not to values that
-    must round-trip bit-exactly). *)
-val json_float : float -> string
-
-(** [write path] writes [to_json ()] to [path]. *)
+(** [write path] writes [to_json ()] plus a newline to [path]. *)
 val write : string -> unit
 
 (** [write_if_requested ()] writes to [$HLP_TELEMETRY] when that variable

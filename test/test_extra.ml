@@ -24,6 +24,19 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* --- stats --- *)
 
+(* A full 30-bit word draws [Rng.int rng (1 lsl 30)], one past what
+   [Random.State.int] accepts (the simulator's vectors at width 30). *)
+let test_rng_wide_bound () =
+  let rng = Hlp_util.Rng.create "wide" in
+  List.iter
+    (fun bound ->
+      let v = Hlp_util.Rng.int rng bound in
+      Alcotest.(check bool)
+        (Printf.sprintf "draw below %d in range" bound)
+        true
+        (v >= 0 && v < bound))
+    [ 1 lsl 29; 1 lsl 30; 1 lsl 40 ]
+
 let test_stats () =
   check_float "mean" 2. (Stats.mean [ 1.; 2.; 3. ]);
   check_float "mean empty" 0. (Stats.mean []);
@@ -227,6 +240,7 @@ let test_depth_capped () =
 let suite =
   [
     Alcotest.test_case "stats helpers" `Quick test_stats;
+    Alcotest.test_case "rng draws a 30-bit word" `Quick test_rng_wide_bound;
     Alcotest.test_case "hlpower calibrate" `Quick test_calibrate;
     Alcotest.test_case "paper beta constants" `Quick test_paper_beta;
     Alcotest.test_case "sa precompute coverage" `Quick

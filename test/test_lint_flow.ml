@@ -13,6 +13,7 @@ module Hlpower = Hlp_core.Hlpower
 module Flow = Hlp_rtl.Flow
 module D = Hlp_lint.Diagnostic
 module Lint = Hlp_lint.Lint
+module Json = Hlp_util.Json
 
 let check_bool = Alcotest.(check bool)
 let sa_table = Sa_table.create ~width:4 ~k:4 ()
@@ -87,8 +88,25 @@ let test_reports_render () =
   in
   check_bool "text mentions the code" true (contains "B001" text);
   check_bool "summary counts" true (contains "1 error, 1 warning" text);
-  let json = Lint.json_report [ ("demo", ds) ] in
-  check_bool "json mentions the code" true (contains "\"B001\"" json)
+  (* The JSON report parses back to the same designs and diagnostics. *)
+  let ds = ds @ [ D.warning "N001" (D.Net "q\"\n") "net %S" "q" ] in
+  let text = Json.to_string (Lint.to_json [ ("demo \"x\"", ds) ]) in
+  match Json.parse text with
+  | Error (pos, msg) -> Alcotest.failf "lint JSON (byte %d: %s)" pos msg
+  | Ok v -> (
+      match Option.bind (Json.member "lint" v) Json.to_list with
+      | Some [ row ] ->
+          let int k = Option.bind (Json.member k row) Json.to_int in
+          check_bool "design name" true
+            (Json.member "design" row = Some (Json.String "demo \"x\""));
+          check_bool "counts" true
+            (int "errors" = Some 1 && int "warnings" = Some 2);
+          let back =
+            Option.bind (Json.member "diagnostics" row) Json.to_list
+            |> Option.map (List.filter_map D.of_json)
+          in
+          check_bool "diagnostics round-trip" true (back = Some ds)
+      | _ -> Alcotest.fail "expected one design row")
 
 let prop_hlpower_lints_clean =
   QCheck.Test.make ~name:"hlpower bindings lint clean through the flow"

@@ -2,7 +2,7 @@
    over every variant, malformed-frame diagnostics, and frame-size
    enforcement. *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Diagnostic = Hlp_lint.Diagnostic
 
@@ -948,6 +948,10 @@ let golden_decode =
       {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"mults\" has an invalid value: []"}]}}|} );
     ( {|{"op": "explore", "params": {"bench": "pr", "alphas": ["x"]}}|},
       {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"alphas\" has an invalid value: [\"x\"]"}]}}|} );
+    ( {|{"op": "explore", "params": {"bench": "pr", "width": 31}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"width\" must be within 1..30 (got 31)"}]}}|} );
+    ( {|{"op": "lint", "params": {"bench": "pr", "width": 31}}|},
+      {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"width\" must be within 1..30 (got 31)"}]}}|} );
     ( {|{"op": "lint", "params": {"binder": "all"}}|},
       {|{"status": "error", "error": {"code": "bad_request", "message": "invalid request frame", "diagnostics": [{"code": "S003", "severity": "error", "loc": {"kind": "design"}, "message": "parameter \"binder\" must be \"hlpower\", \"lopass\" or \"both\""}]}}|} );
     ( {|{"op": "lint", "params": {"bench": 7}}|},

@@ -4,7 +4,7 @@
    zero dropped replies.  (The CI smoke job covers the same ground over
    a real process boundary with a real SIGTERM.) *)
 
-module Json = Hlp_server.Json
+module Json = Hlp_util.Json
 module P = Hlp_server.Protocol
 module Server = Hlp_server.Server
 module Client = Hlp_server.Client

@@ -335,6 +335,47 @@ let test_flow_estimators () =
           check_float "static headline power is the static estimate"
             st'.Flow.static_power_mw static.Flow.dynamic_power_mw)
 
+(* Flow reports as JSON: every field parses back, and the printed bytes
+   are pinned for a small fixed design (a design name that needs
+   escaping included) — the relay and CLI-equals-daemon checks compare
+   these strings, so any printer layout drift must show here. *)
+let pinned_sim =
+  {|{"design": "pr \"pin\"\n\\", "dynamic_power_mw": 0.23653627232142863, "clock_period_ns": 11.199999999999999, "luts": 275, "largest_mux": 9, "mux_length": 84, "toggle_rate_mhz": 37.674972173828884, "est_total_sa": 262.8660432981747, "est_glitch_sa": 166.98205231177002, "sim_glitch_fraction": 0.24034119417962871, "cycles": 256, "depth": 10}|}
+
+let pinned_static =
+  {|, "static_power_mw": 0.23200885628340834, "static_toggle_rate_mhz": 36.798537996919364, "static_total_toggles": 38933, "static_glitch_fraction": 0.59037620962587734}|}
+
+let test_flow_report_json () =
+  let binding = flow_binding () in
+  let run estimator =
+    let config =
+      { Flow.default_config with Flow.width = 4; vectors = 16; estimator }
+    in
+    Flow.run ~config ~design:"pr \"pin\"\n\\" binding
+  in
+  let sim = run `Sim and both = run `Both in
+  Alcotest.(check string) "sim report bytes" pinned_sim
+    (Flow.json_of_report sim);
+  Alcotest.(check string) "both report bytes"
+    (String.sub pinned_sim 0 (String.length pinned_sim - 1) ^ pinned_static)
+    (Flow.json_of_report both);
+  match Hlp_util.Json.parse (Flow.json_of_report both) with
+  | Error (pos, msg) -> Alcotest.failf "report JSON (byte %d: %s)" pos msg
+  | Ok v ->
+      let module J = Hlp_util.Json in
+      let num k = Option.bind (J.member k v) J.to_float in
+      Alcotest.(check bool) "design" true
+        (J.member "design" v = Some (J.String both.Flow.design));
+      Alcotest.(check bool) "power bit-exact" true
+        (num "dynamic_power_mw" = Some both.Flow.dynamic_power_mw);
+      Alcotest.(check bool) "luts" true
+        (Option.bind (J.member "luts" v) J.to_int = Some both.Flow.luts);
+      Alcotest.(check bool) "static power bit-exact" true
+        (num "static_power_mw"
+        = Option.map (fun st -> st.Flow.static_power_mw) both.Flow.static);
+      Alcotest.(check bool) "same value as to_json" true
+        (J.equal v (Flow.to_json both))
+
 let test_static_model_inputs_match_layout () =
   let binding = flow_binding () in
   let dp = Hlp_rtl.Datapath.build ~width:8 binding in
@@ -375,6 +416,7 @@ let suite =
     Alcotest.test_case "catalog sorted and unique" `Quick
       test_catalog_sorted_unique;
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
+    Alcotest.test_case "flow report JSON pinned" `Quick test_flow_report_json;
     Alcotest.test_case "flow estimators" `Slow test_flow_estimators;
     Alcotest.test_case "static-model inputs" `Quick
       test_static_model_inputs_match_layout;

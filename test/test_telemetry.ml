@@ -1,5 +1,6 @@
 module T = Hlp_util.Telemetry
 module Pool = Hlp_util.Pool
+module Json = Hlp_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -61,47 +62,74 @@ let test_spans_recorded_in_order () =
     (names = [ "test.span.a"; "test.span.b" ]
     || (* earlier runs of this test in a retried suite *) List.length names > 2)
 
-let contains ~needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
+let test_span_log_bounded () =
+  let cap = T.span_capacity in
+  ignore (T.span "test.ring.first" (fun () -> ()));
+  for _ = 2 to (10 * cap) - 1 do
+    ignore (T.span "test.ring" (fun () -> ()))
+  done;
+  ignore (T.span "test.ring.last" (fun () -> ()));
+  let spans = T.spans () in
+  check_int "exactly the capacity retained" cap (List.length spans);
+  let names = List.map (fun (n, _, _) -> n) spans in
+  check_bool "newest last" true
+    (List.nth names (cap - 1) = "test.ring.last");
+  check_bool "oldest dropped" false (List.mem "test.ring.first" names);
+  check_bool "only this test's spans remain" true
+    (List.for_all (fun n -> n = "test.ring" || n = "test.ring.last") names);
+  let starts = List.map (fun (_, s, _) -> s) spans in
+  check_bool "record order (monotonic starts)" true
+    (List.for_all2 ( <= )
+       (List.filteri (fun i _ -> i < cap - 1) starts)
+       (List.tl starts))
 
-let test_json_shape () =
-  T.count "test.json \"quoted\"" 3;
+(* A counter name that needs every kind of escaping: quote, backslash,
+   a C0 control and non-ASCII UTF-8. *)
+let awkward = "test.json \"q\" \\ \x01 \xc3\xa9"
+
+let test_json_roundtrip () =
+  T.count awkward 3;
   ignore (T.time "test.json.timer" (fun () -> ()));
-  let json = T.to_json () in
-  check_bool "counters key" true (contains ~needle:"\"counters\"" json);
-  check_bool "timers key" true (contains ~needle:"\"timers\"" json);
-  check_bool "spans key" true (contains ~needle:"\"spans\"" json);
-  check_bool "escaped quotes" true
-    (contains ~needle:"test.json \\\"quoted\\\"" json);
-  (* Minimal structural validation: balanced braces/brackets outside
-     strings, since no JSON parser is available in this environment. *)
-  let depth = ref 0 and ok = ref true and in_str = ref false in
-  String.iteri
-    (fun i c ->
-      if !in_str then begin
-        if c = '"' && json.[i - 1] <> '\\' then in_str := false
-      end
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    json;
-  check_bool "balanced structure" true (!ok && !depth = 0 && not !in_str)
+  ignore (T.span "test.json.span" (fun () -> ()));
+  let text = T.to_json () in
+  check_bool "one line" false (String.contains text '\n');
+  match Json.parse text with
+  | Error (pos, msg) ->
+      Alcotest.failf "to_json is not JSON (byte %d: %s)" pos msg
+  | Ok v ->
+      let counters = Json.member "counters" v in
+      check_bool "awkward counter name round-trips" true
+        (Option.bind counters (Json.member awkward) = Some (Json.Int 3));
+      let named field name =
+        match Option.bind (Json.member field v) Json.to_list with
+        | None -> None
+        | Some rows ->
+            List.find_opt
+              (fun r -> Json.member "name" r = Some (Json.String name))
+              rows
+      in
+      (match named "timers" "test.json.timer" with
+      | None -> Alcotest.fail "timer row missing"
+      | Some r ->
+          check_bool "timer calls" true
+            (Option.bind (Json.member "calls" r) Json.to_int <> None);
+          check_bool "timer seconds" true
+            (Option.bind (Json.member "seconds" r) Json.to_float <> None));
+      match named "spans" "test.json.span" with
+      | None -> Alcotest.fail "span row missing"
+      | Some r ->
+          check_bool "span start and seconds" true
+            (Option.bind (Json.member "start" r) Json.to_float <> None
+            && Option.bind (Json.member "seconds" r) Json.to_float <> None)
 
 let test_write_and_env_knob () =
   let path = Filename.temp_file "hlp_telemetry" ".json" in
   T.write path;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   Sys.remove path;
-  check_bool "wrote something" true (len > 10);
+  check_bool "dump is to_json plus a newline" true
+    (String.length text > 10 && text.[String.length text - 1] = '\n');
+  check_bool "dump parses" true (Result.is_ok (Json.parse text));
   (* write_if_requested honours HLP_TELEMETRY, and is a no-op when unset. *)
   let path2 = Filename.temp_file "hlp_telemetry" ".json" in
   Sys.remove path2;
@@ -123,7 +151,9 @@ let suite =
       test_timer_records_on_exception;
     Alcotest.test_case "spans recorded in order" `Quick
       test_spans_recorded_in_order;
-    Alcotest.test_case "json shape" `Quick test_json_shape;
+    Alcotest.test_case "span log is a bounded ring" `Quick
+      test_span_log_bounded;
+    Alcotest.test_case "json shape" `Quick test_json_roundtrip;
     Alcotest.test_case "write + HLP_TELEMETRY knob" `Quick
       test_write_and_env_knob;
   ]
